@@ -26,8 +26,7 @@ __all__ = ["UnyieldedEventRule", "GeneratorContractRule", "EVENT_RETURNING_APIS"
 #: Method names whose result is an Event / generator that is inert unless
 #: yielded (or explicitly bound for later yielding).  Deliberately excludes
 #: the fire-and-forget surface — ``Simulator.defer``, ``Endpoint.send``,
-#: ``Endpoint.reply``, ``Simulator.call_later`` — which is *designed* to be
-#: called as a bare statement.
+#: ``Endpoint.reply`` — which is *designed* to be called as a bare statement.
 EVENT_RETURNING_APIS = frozenset({
     # TxnContext / coordinator surface
     "broadcast", "collect_votes",
@@ -37,7 +36,7 @@ EVENT_RETURNING_APIS = frozenset({
     # kernel event constructors
     "timeout", "event", "any_of", "all_of",
     # endpoint RPC surface
-    "request", "receive",
+    "request",
 })
 
 #: Return-annotation names treated as "this is a generator".

@@ -5,11 +5,11 @@ end point specifications.  Also maintained in the name server are the
 database fragmentation, replication and distribution schema.  Any site can
 query the name server to get pertinent information."
 
-The name server is a normal networked component: it owns an endpoint, runs
-a server process answering ``NS_*`` messages, and is crashable by the fault
-injector.  There is exactly one name server per Rainbow instance (as in the
-paper); its metadata survives crashes (it is the *service* that goes down,
-not the catalog).
+The name server is a normal networked component: it owns an endpoint whose
+handler answers ``NS_*`` requests as they are delivered, and is crashable by
+the fault injector.  There is exactly one name server per Rainbow instance
+(as in the paper); its metadata survives crashes (it is the *service* that
+goes down, not the catalog).
 """
 
 from __future__ import annotations
@@ -45,12 +45,11 @@ class NameServer:
         self.network = network
         self.name = name
         self.host = host
-        self.endpoint = network.endpoint(host, name)
+        self.endpoint = network.endpoint(host, name, handler=self._handle)
         self.catalog = Catalog()
         self._registry: dict[str, SiteInfo] = {}
         self.up = True
         self.queries_served = 0
-        self._server = sim.process(self._serve(), name=f"ns:{name}")
 
     @property
     def address(self) -> str:
@@ -92,20 +91,11 @@ class NameServer:
         self.endpoint.set_down()
 
     def recover(self) -> None:
-        """Bring the service back; restart the server process."""
+        """Bring the service back."""
         self.up = True
         self.endpoint.set_up()
-        self._server = self.sim.process(self._serve(), name=f"ns:{self.name}")
 
     # -- network service -----------------------------------------------------------
-    def _serve(self):
-        while self.up:
-            try:
-                msg = yield self.endpoint.receive()
-            except Exception:
-                return  # endpoint went down under us
-            self._handle(msg)
-
     def _handle(self, msg: Message) -> None:
         self.queries_served += 1
         if msg.mtype == MessageType.NS_REGISTER:

@@ -1,15 +1,16 @@
 """The simulated network: endpoints, delivery, partitions, accounting.
 
 This is the reproduction of Rainbow's network simulator.  Components obtain
-an :class:`Endpoint` (addressed ``host/name``), exchange :class:`Message`
-objects through :meth:`Network.send`, and block on :meth:`Endpoint.receive`.
-Request/reply exchanges go through :meth:`Endpoint.request`, which handles
-correlation ids, timeouts, and round-trip accounting.
+an :class:`Endpoint` (addressed ``host/name``) with a handler and exchange
+:class:`Message` objects through :meth:`Network.send`; every delivered
+request is passed to the receiving endpoint's handler at the delivery
+instant.  Request/reply exchanges go through :meth:`Endpoint.request`, which
+handles correlation ids, timeouts, and round-trip accounting.
 
 Failure semantics (driven by the fault injector):
 
-* a *down* endpoint neither receives nor keeps queued messages — in-flight
-  and queued messages to it are lost, like a crashed Java process;
+* a *down* endpoint receives nothing — messages in flight to it are lost,
+  like a crashed Java process;
 * a *partition* silently drops messages crossing partition boundaries;
 * an explicitly cut *link* drops messages in both directions;
 * an optional random *loss rate* models an unreliable transport;
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter, deque
+from collections import Counter
 from typing import Callable, Iterable, Optional
 
 from repro.errors import NetworkError, RpcTimeout, SimulationError
@@ -78,79 +79,68 @@ class NetworkStats:
 
 
 class Endpoint:
-    """A named mailbox attached to the network.
+    """A named network address; its owner handles the requests delivered to it.
 
     Addresses have the form ``host/name`` (e.g. ``"hostA/site1"``); the host
     part drives the latency model and partitioning, mirroring Rainbow's
     "several sites may share one physical host" deployment.
+
+    A delivered reply completes the pending :meth:`request` it answers (or
+    is dropped if that RPC already expired); a delivered request is passed
+    to ``handler(msg)`` at the delivery instant.  Endpoints without a
+    handler (pure clients) drop requests.
     """
 
-    def __init__(self, network: "Network", host: str, name: str):
+    def __init__(
+        self,
+        network: "Network",
+        host: str,
+        name: str,
+        handler: Optional[Callable[[Message], None]] = None,
+    ):
         self.network = network
         self.host = host
         self.name = name
         self.address = f"{host}/{name}"
         self.up = True
-        self._queue: deque[Message] = deque()
-        self._receivers: deque[Event] = deque()
+        self.handler = handler
         self._pending_rpcs: dict[int, Event] = {}
-        # Receive events are created per message; format their label once.
-        self._recv_name = f"recv:{self.address}"
 
     # -- lifecycle ----------------------------------------------------------
     def set_down(self) -> None:
-        """Crash the endpoint: lose queued messages, wake receivers with errors.
+        """Crash the endpoint: later deliveries are dropped.
 
         Pending RPCs issued *by* this endpoint are failed too — the caller
         process died with its site, and Rainbow counts the resulting
         half-done transactions as orphans.
         """
         self.up = False
-        self._queue.clear()
-        receivers, self._receivers = self._receivers, deque()
-        for event in receivers:
-            if not event.triggered:
-                event.fail(NetworkError(f"endpoint {self.address} went down"))
         pending, self._pending_rpcs = self._pending_rpcs, {}
         for event in pending.values():
             if not event.triggered:
                 event.fail(NetworkError(f"endpoint {self.address} went down"))
 
     def set_up(self) -> None:
-        """Recover the endpoint with an empty mailbox."""
+        """Recover the endpoint: deliveries reach the handler again."""
         self.up = True
 
     # -- receive path ---------------------------------------------------------
-    def receive(self) -> Event:
-        """Event that fires with the next incoming request message."""
-        event = self.network.sim.event(name=self._recv_name)
-        if self._queue:
-            event.succeed(self._queue.popleft())
-        else:
-            self._receivers.append(event)
-        return event
-
-    def pending_count(self) -> int:
-        """Number of queued (undelivered-to-process) messages."""
-        return len(self._queue)
-
     def _deliver(self, msg: Message) -> None:
         if not self.up:
             self.network._account_drop(msg, reason="endpoint down")
             return
         self.network.stats.delivered += 1
-        if msg.reply_to is not None and msg.reply_to in self._pending_rpcs:
-            event = self._pending_rpcs.pop(msg.reply_to)
-            self.network.stats.round_trips += 1
-            if not event.triggered:
-                event.succeed(msg)
+        if msg.reply_to is not None:
+            # A reply whose RPC already expired finds nothing pending: the
+            # caller has moved on, so the reply is dropped.
+            event = self._pending_rpcs.pop(msg.reply_to, None)
+            if event is not None:
+                self.network.stats.round_trips += 1
+                if not event.triggered:
+                    event.succeed(msg)
             return
-        while self._receivers:
-            event = self._receivers.popleft()
-            if not event.triggered:
-                event.succeed(msg)
-                return
-        self._queue.append(msg)
+        if self.handler is not None:
+            self.handler(msg)
 
     # -- send path -------------------------------------------------------------
     def send(
@@ -276,9 +266,17 @@ class Network:
         self.tracer = None
 
     # -- registration -------------------------------------------------------
-    def endpoint(self, host: str, name: str) -> Endpoint:
-        """Create and register an endpoint; addresses must be unique."""
-        endpoint = Endpoint(self, host, name)
+    def endpoint(
+        self,
+        host: str,
+        name: str,
+        handler: Optional[Callable[[Message], None]] = None,
+    ) -> Endpoint:
+        """Create and register an endpoint; addresses must be unique.
+
+        ``handler(msg)`` is called with every request delivered to it.
+        """
+        endpoint = Endpoint(self, host, name, handler)
         if endpoint.address in self._endpoints:
             raise NetworkError(f"duplicate endpoint address {endpoint.address}")
         self._endpoints[endpoint.address] = endpoint

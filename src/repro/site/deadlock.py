@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.net.message import Message
+
 __all__ = ["ProbeTypes", "DeadlockDetector"]
 
 
@@ -66,6 +68,14 @@ class DeadlockDetector:
         self.probe_interval = probe_interval
         self.max_hops = max_hops
         self.stats = DetectorStats()
+        #: Probe handlers by message type; the site adds them to its own
+        #: dispatch table.
+        self.handlers = {
+            ProbeTypes.PROBE_HOME: self._probe_at_home,
+            ProbeTypes.PROBE_SITE: self._probe_at_site,
+            ProbeTypes.VICTIM_HOME: self._victim_at_home,
+            ProbeTypes.ABORT_WAIT: self._abort_wait,
+        }
         if probe_interval:
             site._spawn(self._reprobe_loop(), name=f"ddd:{site.name}")
 
@@ -118,20 +128,9 @@ class DeadlockDetector:
             self._dispatch(home, ProbeTypes.PROBE_HOME, payload)
 
     # -- message handling -------------------------------------------------------
-    def handle(self, msg) -> None:
-        """Route one detector message (called from the site's dispatcher)."""
-        payload = msg.payload or {}
-        if msg.mtype == ProbeTypes.PROBE_HOME:
-            self._probe_at_home(payload)
-        elif msg.mtype == ProbeTypes.PROBE_SITE:
-            self._probe_at_site(payload)
-        elif msg.mtype == ProbeTypes.VICTIM_HOME:
-            self._victim_at_home(payload)
-        elif msg.mtype == ProbeTypes.ABORT_WAIT:
-            self._abort_wait(payload)
-
-    def _probe_at_home(self, payload) -> None:
+    def _probe_at_home(self, msg: Message) -> None:
         """We are the target's home: forward to wherever it is blocked."""
+        payload = msg.payload
         ctx = self.site._home_ctxs.get(payload.get("target"))
         blocked_site = getattr(ctx, "blocked_site", None) if ctx else None
         if ctx is None or blocked_site is None:
@@ -141,8 +140,9 @@ class DeadlockDetector:
         address = self.site.directory_address(blocked_site)
         self._dispatch(address, ProbeTypes.PROBE_SITE, payload)
 
-    def _probe_at_site(self, payload) -> None:
+    def _probe_at_site(self, msg: Message) -> None:
         """The target waits here: extend the chase with its blockers."""
+        payload = msg.payload
         locks = getattr(self.site.cc, "locks", None)
         if locks is None:
             return
@@ -177,8 +177,9 @@ class DeadlockDetector:
         self.stats.cycles_found += 1
         self._dispatch(initiator_home, ProbeTypes.VICTIM_HOME, {"txn": initiator})
 
-    def _victim_at_home(self, payload) -> None:
+    def _victim_at_home(self, msg: Message) -> None:
         """We are the victim's home: unwind it where it waits."""
+        payload = msg.payload
         ctx = self.site._home_ctxs.get(payload.get("txn"))
         blocked_site = getattr(ctx, "blocked_site", None) if ctx else None
         if ctx is None or blocked_site is None:
@@ -186,11 +187,11 @@ class DeadlockDetector:
         address = self.site.directory_address(blocked_site)
         self._dispatch(address, ProbeTypes.ABORT_WAIT, {"txn": payload["txn"]})
 
-    def _abort_wait(self, payload) -> None:
+    def _abort_wait(self, msg: Message) -> None:
         locks = getattr(self.site.cc, "locks", None)
         if locks is None:
             return
-        if locks.abort_waiter(payload["txn"], reason="distributed deadlock victim"):
+        if locks.abort_waiter(msg.payload["txn"], reason="distributed deadlock victim"):
             self.stats.victims_aborted += 1
 
     # -- transport ---------------------------------------------------------------
@@ -199,13 +200,7 @@ class DeadlockDetector:
             self.stats.probes_dropped += 1
             return
         if address == self.site.address:
-            # Local hop: no network message, same handling.
-            class _Local:
-                pass
-
-            msg = _Local()
-            msg.mtype = mtype
-            msg.payload = payload
-            self.handle(msg)
+            # Local hop: handled in place, never sent over the network.
+            self.handlers[mtype](Message(address, address, mtype, payload))
             return
         self.site.endpoint.send(address, mtype, payload)

@@ -290,9 +290,7 @@ class LockManager:
                     return request.event
 
         if self.wait_timeout is not None:
-            self.sim.call_later(
-                self.wait_timeout, lambda: self._expire(item, request)
-            )
+            self.sim.defer(self.wait_timeout, lambda: self._expire(item, request))
         return request.event
 
     def _blockers_of(self, entry: _ItemLock, request: _Request) -> set[int]:

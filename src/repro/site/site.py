@@ -6,9 +6,12 @@ capability to concurrently process multiple transactions."
 
 A :class:`Site` owns:
 
-* a network endpoint and a server process that spawns one handler process
-  per incoming message (the paper's "one thread per transaction" model —
-  here one process per request plus one per home transaction);
+* a network endpoint whose requests are dispatched through a
+  ``{message type: handler}`` table at the delivery instant.  Handlers that
+  never wait (votes, decisions, submissions) run inline; a copy access may
+  wait in the concurrency controller, so it runs as its own process (the
+  paper's "one thread per transaction" model — here one process per
+  access plus one per home transaction);
 * the committed :class:`~repro.site.storage.LocalStore` and durable
   :class:`~repro.site.wal.WriteAheadLog` (the simulated disk);
 * a pluggable concurrency controller (2PL / TSO / MVTO) guarding the local
@@ -32,14 +35,12 @@ from typing import Any, Callable, Optional
 
 from repro.errors import ConcurrencyAbort, NetworkError, RpcTimeout
 from repro.net.message import Message, MessageType
-from repro.site.deadlock import ProbeTypes as _ProbeTypesModule
-
-_PROBE_TYPES = _ProbeTypesModule.ALL
 from repro.net.network import Network
 from repro.protocols.base import make_ccp
+from repro.site.deadlock import DeadlockDetector
 from repro.site.storage import LocalStore
 from repro.site.wal import WriteAheadLog
-from repro.sim.kernel import Interrupt, Process, Simulator
+from repro.sim.kernel import Process, Simulator
 
 __all__ = ["Site", "SiteStats", "PreparedState"]
 
@@ -103,7 +104,7 @@ class Site:
         self.network = network
         self.name = name
         self.host = host
-        self.endpoint = network.endpoint(host, name)
+        self.endpoint = network.endpoint(host, name, handler=self._on_message)
         self.store = LocalStore(name)
         self.wal = WriteAheadLog(name)
         self.ccp_name = ccp.upper()
@@ -126,7 +127,7 @@ class Site:
 
         self._prepared: dict[int, PreparedState] = {}
         self._activity: dict[int, float] = {}
-        self._handlers: set[Process] = set()
+        self._processes: set[Process] = set()
         # Same-host sibling sites (the paper's shared Sitelet): the instance
         # wires this map so one BATCH_ACCESS can fan out to co-located
         # copies without extra network hops.
@@ -148,14 +149,27 @@ class Site:
         # a parameter; per (site, txn) at most one access runs at a time.
         self.tracer = None
         self._span_ctx: dict[int, Optional[str]] = {}
+        # Request dispatch.  Entries are bound methods of the site that look
+        # ``local_*`` up at call time (``ExecutionTracer`` replaces those on
+        # the instance after construction).
+        self._handler_of: dict[str, Callable[[Message], None]] = {
+            MessageType.READ: self._on_access,
+            MessageType.PREWRITE: self._on_access,
+            MessageType.BATCH_ACCESS: self._on_access,
+            MessageType.VOTE_REQ: self._on_vote_req,
+            MessageType.PRECOMMIT: self._on_precommit,
+            MessageType.COMMIT: self._on_commit,
+            MessageType.ABORT: self._on_abort,
+            MessageType.DECISION_REQ: self._on_decision_req,
+            MessageType.TXN_SUBMIT: self._on_txn_submit,
+        }
         self._start_background()
         self.deadlock_detector = None
         if distributed_deadlock:
-            from repro.site.deadlock import DeadlockDetector
-
             self.deadlock_detector = DeadlockDetector(
                 self, probe_interval=probe_interval
             )
+            self._handler_of.update(self.deadlock_detector.handlers)
             self._wire_detector()
 
     @property
@@ -189,7 +203,6 @@ class Site:
 
     # ------------------------------------------------------------------ lifecycle
     def _start_background(self) -> None:
-        self._spawn(self._serve(), name=f"site:{self.name}:server")
         if self.gc_interval:
             self._spawn(self._gc_loop(), name=f"site:{self.name}:gc")
         if self.uncertainty_timeout is not None:
@@ -199,8 +212,8 @@ class Site:
 
     def _spawn(self, generator, name: str) -> Process:
         process = self.sim.process(generator, name=name)
-        self._handlers.add(process)
-        process.add_callback(lambda _ev: self._handlers.discard(process))
+        self._processes.add(process)
+        process.add_callback(lambda _ev: self._processes.discard(process))
         return process
 
     def spawn_home_transaction(self, generator, name: str) -> Process:
@@ -219,9 +232,9 @@ class Site:
         self.up = False
         self.stats.crashes += 1
         self.endpoint.set_down()
-        for process in list(self._handlers):
+        for process in list(self._processes):
             process.interrupt("site crash")
-        self._handlers.clear()
+        self._processes.clear()
         self.cc.clear()
         self._prepared.clear()
         self._activity.clear()
@@ -275,86 +288,106 @@ class Site:
                 self.deadlock_detector._reprobe_loop(), name=f"ddd:{self.name}"
             )
 
-    # ------------------------------------------------------------------ server
-    def _serve(self):
-        while self.up:
-            try:
-                msg = yield self.endpoint.receive()
-            except (NetworkError, Interrupt):
-                return
-            self.stats.messages_handled += 1
-            self._spawn(self._handle(msg), name=f"site:{self.name}:{msg.mtype}")
-
-    def _handle(self, msg: Message):
-        if msg.reply_to is not None:
-            # A reply whose RPC already timed out at this endpoint: the
-            # caller has moved on.  Drop it (answering would bounce replies
-            # between server loops forever).
-            return
-        payload = msg.payload or {}
-        mtype = msg.mtype
-        if mtype == MessageType.READ:
-            self._note_home(payload)
-            self._note_span(msg, payload)
-            yield from self._handle_read(msg, payload)
-        elif mtype == MessageType.PREWRITE:
-            self._note_home(payload)
-            self._note_span(msg, payload)
-            yield from self._handle_prewrite(msg, payload)
-        elif mtype == MessageType.BATCH_ACCESS:
-            self._note_home(payload)
-            self._note_span(msg, payload)
-            yield from self._handle_batch_access(msg, payload)
-        elif mtype == MessageType.VOTE_REQ:
-            self._note_span(msg, payload)
-            self._handle_vote_req(msg, payload)
-        elif mtype == MessageType.PRECOMMIT:
-            self.local_precommit(payload["txn"])
-            self.endpoint.reply(msg, MessageType.PRECOMMIT_ACK, {"ok": True})
-        elif mtype == MessageType.COMMIT:
-            self.local_commit(payload["txn"])
-            self.endpoint.reply(msg, MessageType.ACK, {"ok": True})
-        elif mtype == MessageType.ABORT:
-            self.local_abort(payload["txn"])
-            self.endpoint.reply(msg, MessageType.ACK, {"ok": True})
-        elif mtype == MessageType.DECISION_REQ:
-            decision = self.decision_of(
-                payload["txn"], presume_abort=payload.get("presume_abort", False)
-            )
-            self.endpoint.reply(msg, MessageType.DECISION, {"decision": decision})
-        elif mtype == MessageType.TXN_SUBMIT:
-            self._handle_txn_submit(msg, payload)
-        elif self.deadlock_detector is not None and mtype in _PROBE_TYPES:
-            self.deadlock_detector.handle(msg)
-        else:
+    # ------------------------------------------------------------------ requests
+    def _on_message(self, msg: Message) -> None:
+        """Endpoint handler: dispatch one delivered request by its type."""
+        self.stats.messages_handled += 1
+        handler = self._handler_of.get(msg.mtype)
+        if handler is None:
             self.endpoint.reply(msg, MessageType.ACK, {"ok": False, "reason": "bad type"})
+        else:
+            handler(msg)
 
-    def _handle_read(self, msg: Message, payload: dict):
+    def _on_access(self, msg: Message) -> None:
+        # A copy access may wait in the CCP: run it as a process of this
+        # site, so a crash interrupts it.
+        self._spawn(self._serve_access(msg), name=f"site:{self.name}:{msg.mtype}")
+
+    def _serve_access(self, msg: Message):
+        """Serve one copy-access request (generator).
+
+        A READ or PREWRITE is an access of one at this site; a BATCH_ACCESS
+        fans out over the host.
+        """
+        payload = msg.payload
+        if msg.mtype == MessageType.BATCH_ACCESS:
+            yield from self._serve_batch(msg, payload)
+            return
+        write = msg.mtype == MessageType.PREWRITE
+        entry = yield from self._access(
+            self.name, payload, write, payload.get("prepare"), msg.span
+        )
+        self.endpoint.reply(
+            msg, MessageType.PREWRITE_REPLY if write else MessageType.READ_REPLY, entry
+        )
+
+    def _serve_batch(self, msg: Message, payload: dict):
+        """Gateway for one BATCH_ACCESS: fan accesses out over the host.
+
+        Each access targets this site or a co-located sibling and runs as
+        its own process (a lock wait at one sibling must not serialize the
+        others); the single reply carries one entry per requested site.
+        """
+        sites = payload.get("sites") or []
+        prepares = payload.get("prepare") or {}
+        write = payload.get("kind") == "W"
+        procs = [
+            self._spawn(
+                self._access(target, payload, write, prepares.get(target), msg.span),
+                name=f"site:{self.name}:batch:{target}",
+            )
+            for target in sites
+        ]
+        if procs:
+            yield self.sim.all_of(procs)
+        results = [
+            {"site": target, **process.value} for target, process in zip(sites, procs)
+        ]
+        self.endpoint.reply(
+            msg,
+            MessageType.BATCH_REPLY,
+            {"results": results},
+            size=max(1, len(results)),
+        )
+
+    def _access(
+        self,
+        target_name: str,
+        payload: dict,
+        write: bool,
+        prepare: Optional[dict],
+        span: Optional[str],
+    ):
+        """One copy access at this site or a same-host sibling (generator).
+
+        Returns the reply entry: ``ok`` plus the read value and version or
+        the pre-write's version (and a folded vote if ``prepare`` rode
+        along), or ``ok=False`` with the failure ``kind`` and ``reason``.
+        """
         txn, ts, item = payload["txn"], payload["ts"], payload["item"]
+        target = self if target_name == self.name else self.colocated.get(target_name)
+        if target is None or not target.up:
+            return {
+                "ok": False,
+                "kind": "net",
+                "reason": f"{target_name} unavailable at gateway {self.name}",
+            }
+        home = payload.get("home")
+        if home is not None:
+            target._txn_home[txn] = home
+        if target.tracer is not None:
+            target._span_ctx[txn] = span
         try:
-            value, version = yield from self.local_read(txn, ts, item)
+            if write:
+                version = yield from target.local_prewrite(txn, ts, item, payload["value"])
+                entry = {"ok": True, "version": version}
+            else:
+                value, version = yield from target.local_read(txn, ts, item)
+                entry = {"ok": True, "value": value, "version": version}
         except ConcurrencyAbort as abort:
-            self.endpoint.reply(
-                msg, MessageType.READ_REPLY, {"ok": False, "reason": str(abort)}
-            )
-            return
-        reply = {"ok": True, "value": value, "version": version}
-        self._fold_prepare(txn, ts, payload.get("prepare"), reply)
-        self.endpoint.reply(msg, MessageType.READ_REPLY, reply)
-
-    def _handle_prewrite(self, msg: Message, payload: dict):
-        txn, ts = payload["txn"], payload["ts"]
-        item, value = payload["item"], payload["value"]
-        try:
-            version = yield from self.local_prewrite(txn, ts, item, value)
-        except ConcurrencyAbort as abort:
-            self.endpoint.reply(
-                msg, MessageType.PREWRITE_REPLY, {"ok": False, "reason": str(abort)}
-            )
-            return
-        reply = {"ok": True, "version": version}
-        self._fold_prepare(txn, ts, payload.get("prepare"), reply)
-        self.endpoint.reply(msg, MessageType.PREWRITE_REPLY, reply)
+            return {"ok": False, "kind": "ccp", "reason": str(abort)}
+        target._fold_prepare(txn, ts, prepare, entry)
+        return entry
 
     def _fold_prepare(
         self, txn: int, ts: float, prepare: Optional[dict], reply: dict
@@ -380,88 +413,10 @@ class Site:
         reply["vote"] = vote
         reply["vote_reason"] = reason
 
-    def _handle_batch_access(self, msg: Message, payload: dict):
-        """Gateway for one BATCH_ACCESS: fan sub-ops out over the host.
-
-        Each sub-op targets this site or a co-located sibling and runs as
-        its own process (a lock wait at one sibling must not serialize the
-        others); the single reply carries one entry per requested site.
-        """
-        sites = payload.get("sites") or []
-        prepares = payload.get("prepare") or {}
-        write = payload.get("kind") == "W"
-        procs = [
-            self._spawn(
-                self._batch_sub_op(
-                    target,
-                    payload["txn"],
-                    payload["ts"],
-                    payload["item"],
-                    payload.get("value"),
-                    write,
-                    prepares.get(target),
-                    payload.get("home"),
-                    msg.span,
-                ),
-                name=f"site:{self.name}:batch:{target}",
-            )
-            for target in sites
-        ]
-        if procs:
-            yield self.sim.all_of(procs)
-        results = [process.value for process in procs]
-        self.endpoint.reply(
-            msg,
-            MessageType.BATCH_REPLY,
-            {"results": results},
-            size=max(1, len(results)),
-        )
-
-    def _batch_sub_op(
-        self,
-        target_name: str,
-        txn: int,
-        ts: float,
-        item: str,
-        value: Any,
-        write: bool,
-        prepare: Optional[dict],
-        home: Optional[str],
-        span: Optional[str] = None,
-    ):
-        """One sub-op of a batch, dispatched to self or a same-host sibling."""
-        target = self if target_name == self.name else self.colocated.get(target_name)
-        if target is None or not target.up:
-            return {
-                "site": target_name,
-                "ok": False,
-                "kind": "net",
-                "reason": f"{target_name} unavailable at gateway {self.name}",
-            }
-        if home is not None:
-            target._txn_home[txn] = home
-        if target.tracer is not None:
-            target._span_ctx[txn] = span
-        entry: dict[str, Any] = {"site": target_name}
-        try:
-            if write:
-                version = yield from target.local_prewrite(txn, ts, item, value)
-                entry.update(ok=True, version=version)
-            else:
-                read_value, version = yield from target.local_read(txn, ts, item)
-                entry.update(ok=True, value=read_value, version=version)
-        except ConcurrencyAbort as abort:
-            return {
-                "site": target_name,
-                "ok": False,
-                "kind": "ccp",
-                "reason": str(abort),
-            }
-        if prepare is not None:
-            target._fold_prepare(txn, ts, prepare, entry)
-        return entry
-
-    def _handle_vote_req(self, msg: Message, payload: dict) -> None:
+    def _on_vote_req(self, msg: Message) -> None:
+        payload = msg.payload
+        if self.tracer is not None:
+            self._span_ctx[payload["txn"]] = msg.span
         vote, reason = self.local_prepare(
             payload["txn"],
             payload.get("versions", {}),
@@ -472,7 +427,27 @@ class Site:
         )
         self.endpoint.reply(msg, MessageType.VOTE, {"vote": vote, "reason": reason})
 
-    def _handle_txn_submit(self, msg: Message, payload: dict) -> None:
+    def _on_precommit(self, msg: Message) -> None:
+        self.local_precommit(msg.payload["txn"])
+        self.endpoint.reply(msg, MessageType.PRECOMMIT_ACK, {"ok": True})
+
+    def _on_commit(self, msg: Message) -> None:
+        self.local_commit(msg.payload["txn"])
+        self.endpoint.reply(msg, MessageType.ACK, {"ok": True})
+
+    def _on_abort(self, msg: Message) -> None:
+        self.local_abort(msg.payload["txn"])
+        self.endpoint.reply(msg, MessageType.ACK, {"ok": True})
+
+    def _on_decision_req(self, msg: Message) -> None:
+        payload = msg.payload
+        decision = self.decision_of(
+            payload["txn"], presume_abort=payload.get("presume_abort", False)
+        )
+        self.endpoint.reply(msg, MessageType.DECISION, {"decision": decision})
+
+    def _on_txn_submit(self, msg: Message) -> None:
+        payload = msg.payload
         if self.coordinator_factory is None:
             self.endpoint.reply(
                 msg, MessageType.TXN_RESULT, {"ok": False, "reason": "no coordinator"}
@@ -794,16 +769,6 @@ class Site:
     # ------------------------------------------------------------------ helpers
     def _touch(self, txn: int) -> None:
         self._activity[txn] = self.sim.now
-
-    def _note_home(self, payload: dict) -> None:
-        home = payload.get("home")
-        if home is not None:
-            self._txn_home[payload["txn"]] = home
-
-    def _note_span(self, msg: Message, payload: dict) -> None:
-        """Adopt the request's trace context for the txn's next local op."""
-        if self.tracer is not None and "txn" in payload:
-            self._span_ctx[payload["txn"]] = msg.span
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "up" if self.up else "down"

@@ -264,36 +264,45 @@ class TxnContext:
     # -- copy access ---------------------------------------------------------------
     def access_read(self, site: str, item: str):
         """Read the copy of ``item`` at ``site`` (generator → AccessResult)."""
+        return (yield from self._access(site, item, False, None))
+
+    def access_prewrite(self, site: str, item: str, value: Any):
+        """Pre-write ``item`` at ``site`` (generator → AccessResult)."""
+        return (yield from self._access(site, item, True, value))
+
+    def _access(self, site: str, item: str, write: bool, value: Any):
+        """One copy access: a direct CCP call at home, a READ/PREWRITE elsewhere."""
+        txn_id, ts = self.txn.txn_id, self.txn.ts
         if site == self.home.name:
             self._block_enter(site)
             self._home_span_ctx()
             try:
-                value, version = yield from self.home.local_read(
-                    self.txn.txn_id, self.txn.ts, item
-                )
+                if write:
+                    read_value = None
+                    version = yield from self.home.local_prewrite(txn_id, ts, item, value)
+                else:
+                    read_value, version = yield from self.home.local_read(txn_id, ts, item)
             except TransactionAborted as abort:
                 return AccessResult(False, site, kind="ccp", reason=str(abort))
             finally:
                 self._block_exit(site)
             self._register(site)
-            return AccessResult(True, site, value=value, version=version)
-        request = {
-            "txn": self.txn.txn_id,
-            "ts": self.txn.ts,
-            "item": item,
-            "home": self.home.address,
-        }
-        prepare = self._piggyback_payload(site, item, write=False)
+            return AccessResult(True, site, value=read_value, version=version)
+        request: dict[str, Any] = {"txn": txn_id, "ts": ts, "item": item}
+        if write:
+            request["value"] = value
+        request["home"] = self.home.address
+        prepare = self._piggyback_payload(site, item, write=write)
         if prepare is not None:
             request["prepare"] = prepare
         self._block_enter(site)
         try:
             reply = yield self.home.endpoint.request(
                 self.address_of(site),
-                MessageType.READ,
+                MessageType.PREWRITE if write else MessageType.READ,
                 request,
                 timeout=self.config.op_timeout,
-                txn_id=self.txn.txn_id,
+                txn_id=txn_id,
                 span=self.trace_context(),
             )
         except (RpcTimeout, NetworkError) as failure:
@@ -308,52 +317,6 @@ class TxnContext:
         return AccessResult(
             True, site, value=payload.get("value"), version=payload.get("version", 0)
         )
-
-    def access_prewrite(self, site: str, item: str, value: Any):
-        """Pre-write ``item`` at ``site`` (generator → AccessResult)."""
-        if site == self.home.name:
-            self._block_enter(site)
-            self._home_span_ctx()
-            try:
-                version = yield from self.home.local_prewrite(
-                    self.txn.txn_id, self.txn.ts, item, value
-                )
-            except TransactionAborted as abort:
-                return AccessResult(False, site, kind="ccp", reason=str(abort))
-            finally:
-                self._block_exit(site)
-            self._register(site)
-            return AccessResult(True, site, version=version)
-        request = {
-            "txn": self.txn.txn_id,
-            "ts": self.txn.ts,
-            "item": item,
-            "value": value,
-            "home": self.home.address,
-        }
-        prepare = self._piggyback_payload(site, item, write=True)
-        if prepare is not None:
-            request["prepare"] = prepare
-        self._block_enter(site)
-        try:
-            reply = yield self.home.endpoint.request(
-                self.address_of(site),
-                MessageType.PREWRITE,
-                request,
-                timeout=self.config.op_timeout,
-                txn_id=self.txn.txn_id,
-                span=self.trace_context(),
-            )
-        except (RpcTimeout, NetworkError) as failure:
-            return AccessResult(False, site, kind="net", reason=str(failure))
-        finally:
-            self._block_exit(site)
-        payload = reply.payload or {}
-        if not payload.get("ok"):
-            return AccessResult(False, site, kind="ccp", reason=payload.get("reason", ""))
-        self._register(site)
-        self._absorb_vote(site, payload)
-        return AccessResult(True, site, version=payload.get("version", 0))
 
     def access_read_many(self, sites: list[str], item: str):
         """Concurrent reads at several sites (generator → list[AccessResult])."""

@@ -24,7 +24,7 @@ from typing import Generator, Optional
 from repro.errors import NetworkError, RpcTimeout, WebTierError
 from repro.net.message import Message, MessageType
 from repro.net.network import Network
-from repro.sim.kernel import Interrupt, Simulator
+from repro.sim.kernel import Simulator
 from repro.web.requests import WebRequest, WebResponse
 
 __all__ = ["Servlet", "ServletRunner"]
@@ -55,11 +55,10 @@ class ServletRunner:
         self.network = network
         self.host = host
         self.name = f"runner-{host}"  # fault-injector target id
-        self.endpoint = network.endpoint(host, RUNNER_NAME)
+        self.endpoint = network.endpoint(host, RUNNER_NAME, handler=self._on_request)
         self.servlets: dict[str, Servlet] = {}
         self.requests_served = 0
         self.up = True
-        self._server = sim.process(self._serve(), name=f"runner:{host}")
 
     # -- lifecycle -----------------------------------------------------------
     # "It is essential that the Rainbow home host must have the
@@ -67,13 +66,11 @@ class ServletRunner:
     # happen: a crashed runner makes its host's management plane (and, on
     # the home host, the whole GUI) unreachable until restart.
     def crash(self) -> None:
-        """Stop the web server; in-flight and queued requests are lost."""
+        """Stop the web server; in-flight requests are lost."""
         if not self.up:
             return
         self.up = False
         self.endpoint.set_down()
-        if self._server.is_alive:
-            self._server.interrupt("runner crash")
 
     def recover(self) -> None:
         """Restart the web server (servlet registrations survive)."""
@@ -81,7 +78,6 @@ class ServletRunner:
             return
         self.up = True
         self.endpoint.set_up()
-        self._server = self.sim.process(self._serve(), name=f"runner:{self.host}")
 
     @property
     def address(self) -> str:
@@ -99,16 +95,12 @@ class ServletRunner:
         return name in self.servlets
 
     # -- serving ---------------------------------------------------------------
-    def _serve(self):
-        while self.up:
-            try:
-                msg = yield self.endpoint.receive()
-            except (NetworkError, Interrupt):
-                return
-            if msg.mtype != MessageType.WEB_REQUEST or msg.reply_to is not None:
-                continue
-            self.requests_served += 1
-            self.sim.process(self._dispatch(msg), name=f"runner:{self.host}:req")
+    def _on_request(self, msg: Message) -> None:
+        """Endpoint handler: run each WEB_REQUEST as its own process."""
+        if msg.mtype != MessageType.WEB_REQUEST:
+            return
+        self.requests_served += 1
+        self.sim.process(self._dispatch(msg), name=f"runner:{self.host}:req")
 
     def _dispatch(self, msg: Message):
         request = WebRequest.from_payload(msg.payload or {})

@@ -7,7 +7,8 @@ import pytest
 from repro.core.config import RainbowConfig
 from repro.core.instance import RainbowInstance
 from repro.net.latency import ConstantLatency
-from repro.net.network import Network
+from repro.net.message import Message
+from repro.net.network import Endpoint, Network
 from repro.sim.kernel import Simulator
 
 
@@ -25,6 +26,13 @@ def drive(sim: Simulator, generator, name: str = "test"):
     """Run ``generator`` as a process to completion; return its value."""
     process = sim.process(generator, name=name)
     return sim.run(until=process)
+
+
+def inbox(endpoint: Endpoint) -> list[Message]:
+    """Serve ``endpoint`` into a list: each delivered request is appended."""
+    messages: list[Message] = []
+    endpoint.handler = messages.append
+    return messages
 
 
 def quick_instance(

@@ -8,6 +8,7 @@ from repro.errors import ConfigurationError
 from repro.net.faults import FaultInjector, FaultSchedule
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
+from tests.conftest import inbox
 
 
 class FakeTarget:
@@ -80,6 +81,7 @@ class TestScheduledFaults:
     def test_partition_and_heal_scheduled(self, sim, network, injector):
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
+        b_inbox = inbox(b)
         injector.schedule_partition([["h1"], ["h2"]], at=5)
         injector.schedule_heal(at=15)
         sim.run(until=6)
@@ -88,11 +90,12 @@ class TestScheduledFaults:
         assert network.stats.dropped == 1
         a.send(b.address, "X")
         sim.run()
-        assert b.pending_count() == 1
+        assert len(b_inbox) == 1
 
     def test_link_cut_with_restore(self, sim, network, injector):
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
+        b_inbox = inbox(b)
         injector.schedule_link_cut("h1", "h2", at=2, restore_at=8)
         sim.run(until=3)
         a.send(b.address, "X")
@@ -100,7 +103,7 @@ class TestScheduledFaults:
         assert network.stats.dropped == 1
         a.send(b.address, "X")
         sim.run()
-        assert b.pending_count() == 1
+        assert len(b_inbox) == 1
         kinds = [e.kind for e in injector.log]
         assert kinds == ["link_cut", "link_restore"]
 

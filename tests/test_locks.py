@@ -190,7 +190,7 @@ class TestTimeoutStrategy:
         locks = LockManager(sim, strategy="timeout", wait_timeout=10.0)
         locks.acquire(1, 1.0, "x", LockMode.X)
         event = locks.acquire(2, 2.0, "x", LockMode.X)
-        sim.call_later(3, lambda: locks.release_all(1))
+        sim.defer(3, lambda: locks.release_all(1))
         sim.run()
         assert grant_state(event) == "granted"
         assert locks.stats.timeouts == 0
@@ -287,6 +287,6 @@ class TestReleaseAndClear:
     def test_wait_time_accounted(self, sim, locks):
         locks.acquire(1, 1.0, "x", LockMode.X)
         locks.acquire(2, 2.0, "x", LockMode.X)
-        sim.call_later(7, lambda: locks.release_all(1))
+        sim.defer(7, lambda: locks.release_all(1))
         sim.run()
         assert locks.stats.total_wait_time == 7.0

@@ -99,6 +99,14 @@ class TestService:
 
         assert "error" in drive(sim, run())
 
+    def test_reply_without_pending_rpc_never_reaches_handler(self, sim, network, ns):
+        client = self._client(network)
+        client.send(ns.address, MessageType.NS_REPLY, {"ok": True}, reply_to=12345)
+        sim.run()
+        assert network.stats.delivered == 1
+        assert ns.queries_served == 0
+        assert network.stats.sent == 1  # the name server answered nothing
+
     def test_crashed_ns_does_not_answer(self, sim, network, ns):
         client = self._client(network)
         ns.crash()

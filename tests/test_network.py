@@ -14,7 +14,7 @@ from repro.net.latency import (
 from repro.net.message import Message, MessageType
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
-from tests.conftest import drive
+from tests.conftest import drive, inbox
 
 
 class TestMessage:
@@ -98,46 +98,46 @@ class TestEndpoints:
 
     def test_send_and_receive(self, sim, network):
         a = network.endpoint("h1", "a")
-        b = network.endpoint("h2", "b")
-
-        def receiver():
-            msg = yield b.receive()
-            return (msg.mtype, msg.payload)
-
-        process = sim.process(receiver())
+        seen = []
+        b = network.endpoint(
+            "h2", "b", handler=lambda msg: seen.append((msg.mtype, msg.payload, sim.now))
+        )
         a.send(b.address, "PING", payload=123)
-        assert sim.run(until=process) == ("PING", 123)
-        assert sim.now == 1.0  # ConstantLatency(1.0)
+        sim.run()
+        assert seen == [("PING", 123, 1.0)]  # ConstantLatency(1.0)
 
     def test_receive_queued_message_immediately(self, sim, network):
+        """A delivered request reaches the handler at its delivery instant;
+        nothing is queued behind a consumer."""
+        a = network.endpoint("h1", "a")
+        b = network.endpoint("h2", "b")
+        messages = inbox(b)
+        a.send(b.address, "PING")
+        sim.run(until=0.5)
+        assert messages == []
+        sim.run(until=1.0)
+        assert [msg.mtype for msg in messages] == ["PING"]
+
+    def test_endpoint_without_handler_drops_requests(self, sim, network):
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
         a.send(b.address, "PING")
         sim.run()
-        assert b.pending_count() == 1
-
-        def receiver():
-            msg = yield b.receive()
-            return msg.mtype
-
-        assert drive(sim, receiver()) == "PING"
-        assert b.pending_count() == 0
+        assert network.stats.delivered == 1
+        assert network.stats.dropped == 0
 
 
 class TestRpc:
     def test_request_reply_roundtrip(self, sim, network):
         a = network.endpoint("h1", "a")
-        b = network.endpoint("h2", "b")
-
-        def server():
-            msg = yield b.receive()
-            b.reply(msg, "PONG", payload=msg.payload + 1)
+        b = network.endpoint(
+            "h2", "b", handler=lambda msg: b.reply(msg, "PONG", payload=msg.payload + 1)
+        )
 
         def client():
             reply = yield a.request(b.address, "PING", payload=1, timeout=10)
             return reply.payload
 
-        sim.process(server())
         assert drive(sim, client()) == 2
         assert network.stats.round_trips == 1
 
@@ -165,22 +165,22 @@ class TestRpc:
 
     def test_late_reply_after_timeout_not_matched(self, sim, network):
         a = network.endpoint("h1", "a")
-        b = network.endpoint("h2", "b")
-
-        def slow_server():
-            msg = yield b.receive()
-            yield sim.timeout(10)
-            b.reply(msg, "PONG")
+        b = network.endpoint(
+            "h2", "b", handler=lambda msg: sim.defer(10, lambda: b.reply(msg, "PONG"))
+        )
+        a_inbox = inbox(a)
 
         def client():
             with pytest.raises(RpcTimeout):
                 yield a.request(b.address, "PING", timeout=3)
 
-        sim.process(slow_server())
         drive(sim, client())
         sim.run()
-        # Late reply is delivered to a's queue as an orphan message.
-        assert a.pending_count() == 1
+        # The late reply is delivered, matches no pending RPC, and is
+        # dropped before it reaches a's handler.
+        assert network.stats.delivered == 2
+        assert network.stats.round_trips == 0
+        assert a_inbox == []
 
     def test_invalid_timeout_rejected(self, sim, network):
         a = network.endpoint("h1", "a")
@@ -192,23 +192,12 @@ class TestFailureModes:
     def test_down_endpoint_loses_messages(self, sim, network):
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
+        messages = inbox(b)
         b.set_down()
         a.send(b.address, "PING")
         sim.run()
         assert network.stats.dropped == 1
-        assert b.pending_count() == 0
-
-    def test_down_endpoint_fails_waiting_receivers(self, sim, network):
-        b = network.endpoint("h2", "b")
-
-        def receiver():
-            with pytest.raises(NetworkError):
-                yield b.receive()
-            return "failed as expected"
-
-        process = sim.process(receiver())
-        sim.call_later(1, b.set_down)
-        assert sim.run(until=process) == "failed as expected"
+        assert messages == []
 
     def test_down_endpoint_fails_pending_rpcs(self, sim, network):
         a = network.endpoint("h1", "a")
@@ -220,7 +209,7 @@ class TestFailureModes:
             return sim.now
 
         process = sim.process(client())
-        sim.call_later(2, a.set_down)
+        sim.defer(2, a.set_down)
         assert sim.run(until=process) == 2.0
 
     def test_source_down_drops_sends(self, sim, network):
@@ -234,20 +223,24 @@ class TestFailureModes:
     def test_recovered_endpoint_receives_again(self, sim, network):
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
+        messages = inbox(b)
         b.set_down()
         b.set_up()
         a.send(b.address, "PING")
         sim.run()
-        assert b.pending_count() == 1
+        assert len(messages) == 1
 
     def test_queued_messages_lost_on_crash(self, sim, network):
+        """Messages still in flight when the endpoint crashes are lost."""
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
+        messages = inbox(b)
         a.send(b.address, "PING")
-        sim.run()
-        assert b.pending_count() == 1
+        sim.run(until=0.5)
         b.set_down()
-        assert b.pending_count() == 0
+        sim.run()
+        assert messages == []
+        assert network.stats.dropped_by_type == {"PING": 1}
 
 
 class TestPartitions:
@@ -263,26 +256,29 @@ class TestPartitions:
 
     def test_partition_allows_same_group(self, sim, network):
         a, b = self._pair(sim, network)
+        b_inbox = inbox(b)
         network.partition([["h1", "h2"]])
         a.send(b.address, "PING")
         sim.run()
-        assert b.pending_count() == 1
+        assert len(b_inbox) == 1
 
     def test_unlisted_hosts_form_implicit_group(self, sim, network):
         a, b = self._pair(sim, network)
         c = network.endpoint("h3", "c")
+        c_inbox = inbox(c)
         network.partition([["h1"]])
         b.send(c.address, "PING")  # h2 and h3 both implicit
         sim.run()
-        assert c.pending_count() == 1
+        assert len(c_inbox) == 1
 
     def test_heal_partition(self, sim, network):
         a, b = self._pair(sim, network)
+        b_inbox = inbox(b)
         network.partition([["h1"], ["h2"]])
         network.heal_partition()
         a.send(b.address, "PING")
         sim.run()
-        assert b.pending_count() == 1
+        assert len(b_inbox) == 1
 
     def test_host_in_two_groups_rejected(self, sim, network):
         with pytest.raises(NetworkError):
@@ -290,6 +286,7 @@ class TestPartitions:
 
     def test_cut_and_restore_link(self, sim, network):
         a, b = self._pair(sim, network)
+        b_inbox = inbox(b)
         network.cut_link("h1", "h2")
         a.send(b.address, "PING")
         sim.run()
@@ -297,15 +294,16 @@ class TestPartitions:
         network.restore_link("h1", "h2")
         a.send(b.address, "PING")
         sim.run()
-        assert b.pending_count() == 1
+        assert len(b_inbox) == 1
 
     def test_cut_link_does_not_affect_local(self, sim, network):
         a = network.endpoint("h1", "a")
         a2 = network.endpoint("h1", "a2")
+        a2_inbox = inbox(a2)
         network.cut_link("h1", "h1")
         a.send(a2.address, "PING")
         sim.run()
-        assert a2.pending_count() == 1
+        assert len(a2_inbox) == 1
 
 
 class TestLossAndStats:
@@ -341,12 +339,13 @@ class TestLossAndStats:
         )
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
+        b_inbox = inbox(b)
         for _ in range(100):
             a.send(b.address, "PING")
         sim.run()
         assert network.stats.sent == 100
         assert 10 < network.stats.duplicated < 90
-        assert b.pending_count() == 100 + network.stats.duplicated
+        assert len(b_inbox) == 100 + network.stats.duplicated
         assert network.stats.delivered == 100 + network.stats.duplicated
 
     def test_invalid_duplication_rate(self, sim):
@@ -396,34 +395,37 @@ class TestFlakyLinks:
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
         c = network.endpoint("h3", "c")
+        c_inbox = inbox(c)
         network.set_link_flakiness("h1", "h2", loss=0.99)
         for _ in range(100):
             a.send(b.address, "PING")
             a.send(c.address, "PING")
         sim.run()
         assert network.stats.lost_random > 80  # h1-h2 very lossy
-        assert c.pending_count() == 100  # h1-h3 untouched
+        assert len(c_inbox) == 100  # h1-h3 untouched
 
     def test_flaky_link_duplicates(self):
         sim = Simulator()
         network = Network(sim, ConstantLatency(0.1), rng=random.Random(7))
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
+        b_inbox = inbox(b)
         network.set_link_flakiness("h1", "h2", duplicate=0.5)
         for _ in range(100):
             a.send(b.address, "PING")
         sim.run()
         assert 10 < network.stats.duplicated < 90
-        assert b.pending_count() == 100 + network.stats.duplicated
+        assert len(b_inbox) == 100 + network.stats.duplicated
 
     def test_clear_link_flakiness(self, sim, network):
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
+        b_inbox = inbox(b)
         network.set_link_flakiness("h1", "h2", loss=0.99)
         network.clear_link_flakiness("h1", "h2")
         a.send(b.address, "PING")
         sim.run()
-        assert b.pending_count() == 1
+        assert len(b_inbox) == 1
 
     def test_clear_flaky_links_heals_all(self, sim, network):
         network.endpoint("h1", "a")
@@ -437,13 +439,14 @@ class TestFlakyLinks:
         network = Network(sim, ConstantLatency(0.1), rng=random.Random(7))
         a = network.endpoint("h1", "a")
         a2 = network.endpoint("h1", "a2")
+        a2_inbox = inbox(a2)
         with pytest.raises(NetworkError):
             network.set_link_flakiness("h1", "h1", loss=0.5)
         network.set_link_flakiness("h1", "h2", loss=0.99)
         for _ in range(50):
             a.send(a2.address, "PING")
         sim.run()
-        assert a2.pending_count() == 50
+        assert len(a2_inbox) == 50
 
     def test_invalid_rates_rejected(self, sim, network):
         with pytest.raises(NetworkError):

@@ -9,7 +9,7 @@ from repro.net.network import Network
 from repro.protocols.base import rcp_registry
 from repro.sim.kernel import Simulator
 from repro.txn.transaction import Operation, Transaction
-from tests.conftest import quick_instance
+from tests.conftest import inbox, quick_instance
 
 
 def run_txn(instance, txn):
@@ -104,15 +104,8 @@ class TestHostQueueing:
         sim = Simulator()
         network = Network(sim, ConstantLatency(1.0), host_service_time=0.5)
         a = network.endpoint("h1", "a")
-        b = network.endpoint("h2", "b")
         arrivals = []
-
-        def receiver():
-            while True:
-                yield b.receive()
-                arrivals.append(sim.now)
-
-        sim.process(receiver())
+        b = network.endpoint("h2", "b", handler=lambda msg: arrivals.append(sim.now))
         for _ in range(4):
             a.send(b.address, "X")
         sim.run(until=20)
@@ -124,16 +117,9 @@ class TestHostQueueing:
         sim = Simulator()
         network = Network(sim, ConstantLatency(1.0), host_service_time=0.5)
         a = network.endpoint("h1", "a")
-        b = network.endpoint("h2", "b")
-        c = network.endpoint("h3", "c")
         times = {}
-
-        def receiver(endpoint, key):
-            yield endpoint.receive()
-            times[key] = sim.now
-
-        sim.process(receiver(b, "b"))
-        sim.process(receiver(c, "c"))
+        b = network.endpoint("h2", "b", handler=lambda msg: times.setdefault("b", sim.now))
+        c = network.endpoint("h3", "c", handler=lambda msg: times.setdefault("c", sim.now))
         a.send(b.address, "X")
         a.send(c.address, "X")
         sim.run(until=10)
@@ -143,15 +129,8 @@ class TestHostQueueing:
         sim = Simulator()
         network = Network(sim, ConstantLatency(1.0), host_service_time=0.5)
         a = network.endpoint("h1", "a")
-        b = network.endpoint("h2", "b")
         arrivals = []
-
-        def receiver():
-            while True:
-                yield b.receive()
-                arrivals.append(sim.now)
-
-        sim.process(receiver())
+        b = network.endpoint("h2", "b", handler=lambda msg: arrivals.append(sim.now))
         a.send(b.address, "BIG", size=4)
         sim.run(until=10)
         assert arrivals == [3.0]  # 1 latency + 4 * 0.5 service
@@ -161,11 +140,12 @@ class TestHostQueueing:
         network = Network(sim, ConstantLatency(1.0), host_service_time=0.0)
         a = network.endpoint("h1", "a")
         b = network.endpoint("h2", "b")
+        b_inbox = inbox(b)
         for _ in range(3):
             a.send(b.address, "X")
         sim.run()
         assert network.stats.queueing_delay_total == 0.0
-        assert b.pending_count() == 3
+        assert len(b_inbox) == 3
 
     def test_negative_service_time_rejected(self):
         with pytest.raises(Exception):

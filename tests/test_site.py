@@ -5,7 +5,8 @@ import pytest
 from repro.errors import ConcurrencyAbort
 from repro.net.message import MessageType
 from repro.site.site import Site
-from tests.conftest import drive
+from repro.sim.kernel import Interrupt
+from tests.conftest import drive, inbox
 
 
 @pytest.fixture
@@ -170,10 +171,11 @@ class TestMessageHandlers:
 
     def test_stray_reply_dropped(self, sim, network, site):
         client = self._client(sim, network, site)
+        client_inbox = inbox(client)
         client.send(site.address, MessageType.READ_REPLY, {"ok": True}, reply_to=12345)
         sim.run(until=10)
         # No bounce-back message arrived at the client.
-        assert client.pending_count() == 0
+        assert client_inbox == []
 
     def test_txn_submit_without_factory_fails_cleanly(self, sim, network, site):
         client = self._client(sim, network, site)
@@ -186,6 +188,67 @@ class TestMessageHandlers:
 
         payload = drive(sim, run())
         assert not payload["ok"]
+
+
+class TestDispatch:
+    @pytest.mark.parametrize(
+        "mtype, payload, reply_type",
+        [
+            (MessageType.COMMIT, {"txn": 1}, MessageType.ACK),
+            (MessageType.ABORT, {"txn": 1}, MessageType.ACK),
+            (
+                MessageType.VOTE_REQ,
+                {"txn": 1, "ts": 1.0, "versions": {}, "coordinator": "hc/client"},
+                MessageType.VOTE,
+            ),
+            (
+                MessageType.DECISION_REQ,
+                {"txn": 1, "presume_abort": True},
+                MessageType.DECISION,
+            ),
+        ],
+    )
+    def test_synchronous_request_runs_inline(
+        self, sim, network, site, monkeypatch, mtype, payload, reply_type
+    ):
+        spawned = []
+        spawn = sim.process
+        monkeypatch.setattr(
+            sim, "process", lambda gen, name="": spawned.append(name) or spawn(gen, name)
+        )
+        sent = []
+        network.add_observer(lambda msg, _outcome: sent.append((msg.mtype, sim.now)))
+        client = network.endpoint("hc", "client")
+        client.send(site.address, mtype, payload)
+        sim.run()
+        assert spawned == []
+        # Sent at t=0, delivered and answered at t=1 (ConstantLatency(1.0)).
+        assert sent == [(mtype, 0.0), (reply_type, 1.0)]
+
+    def test_crash_interrupts_read_waiting_on_a_lock(
+        self, sim, network, site, monkeypatch
+    ):
+        spawned = []
+        spawn = sim.process
+
+        def recording_spawn(gen, name=""):
+            process = spawn(gen, name)
+            spawned.append(process)
+            return process
+
+        monkeypatch.setattr(sim, "process", recording_spawn)
+        drive(sim, site.local_prewrite(1, 1.0, "x", 9))  # txn 1 holds x
+        sent = []
+        network.add_observer(lambda msg, _outcome: sent.append(msg.mtype))
+        client = network.endpoint("hc", "client")
+        client.send(site.address, MessageType.READ, {"txn": 2, "ts": 2.0, "item": "x"})
+        sim.run(until=sim.now + 3)
+        (handler,) = [p for p in spawned if p.name == f"site:{site.name}:READ"]
+        assert handler.is_alive  # queued behind txn 1's lock
+        site.crash()
+        sim.run()
+        assert isinstance(handler.value, Interrupt)
+        assert sent == [MessageType.READ]  # no READ_REPLY was ever sent
 
 
 class TestCrashRecovery:
@@ -224,14 +287,13 @@ class TestCrashRecovery:
 
     def test_recovered_in_doubt_resolves_via_decision_req(self, sim, network, site):
         # A fake coordinator that answers COMMIT.
-        coord = network.endpoint("hc", "coord")
-
-        def coordinator():
-            while True:
-                msg = yield coord.receive()
-                coord.reply(msg, MessageType.DECISION, {"decision": "COMMIT"})
-
-        sim.process(coordinator())
+        coord = network.endpoint(
+            "hc",
+            "coord",
+            handler=lambda msg: coord.reply(
+                msg, MessageType.DECISION, {"decision": "COMMIT"}
+            ),
+        )
         drive(sim, site.local_prewrite(1, 2.0, "x", 9))
         site.local_prepare(1, {"x": 1}, coord.address, 2.0)
         site.crash()
@@ -244,19 +306,16 @@ class TestCrashRecovery:
     def test_recovered_in_doubt_presumes_abort_from_silent_coordinator(
         self, sim, network, site
     ):
-        coord = network.endpoint("hc", "coord")
-
-        def coordinator():
-            while True:
-                msg = yield coord.receive()
-                coord.reply(
-                    msg,
-                    MessageType.DECISION,
-                    {"decision": site_b.decision_of(msg.payload["txn"], True)},
-                )
-
+        coord = network.endpoint(
+            "hc",
+            "coord",
+            handler=lambda msg: coord.reply(
+                msg,
+                MessageType.DECISION,
+                {"decision": site_b.decision_of(msg.payload["txn"], True)},
+            ),
+        )
         site_b = Site(sim, network, "s2", "h2", gc_interval=0)
-        sim.process(coordinator())
         drive(sim, site.local_prewrite(1, 2.0, "x", 9))
         site.local_prepare(1, {"x": 1}, coord.address, 2.0)
         site.crash()
@@ -290,14 +349,13 @@ class TestSweepers:
         site = Site(sim, network, "s9", "h9", gc_interval=0,
                     uncertainty_timeout=15, sweep_interval=5, decision_retry=5)
         site.store.create_copy("x")
-        coord = network.endpoint("hc", "coord")
-
-        def coordinator():
-            while True:
-                msg = yield coord.receive()
-                coord.reply(msg, MessageType.DECISION, {"decision": "ABORT"})
-
-        sim.process(coordinator())
+        coord = network.endpoint(
+            "hc",
+            "coord",
+            handler=lambda msg: coord.reply(
+                msg, MessageType.DECISION, {"decision": "ABORT"}
+            ),
+        )
         drive(sim, site.local_prewrite(1, 1.0, "x", 9))
         site.local_prepare(1, {"x": 1}, coord.address, 1.0)
         sim.run(until=100)
