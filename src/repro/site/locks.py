@@ -19,6 +19,24 @@ A victim's pending lock event fails with :class:`ConcurrencyAbort`, which
 unwinds through the operation handler to the coordinator and is counted as
 a CCP abort — the paper's per-protocol abort breakdown.
 
+Lock-table entries are never removed (only a site crash clears the table),
+so the table grows to every item the site has ever locked.  Two indexes
+keep each operation's cost proportional to what it touches instead:
+
+* ``_items_of`` maps a transaction to the items where it holds a lock or
+  has a queued request — commit and abort release exactly those (a failed
+  request is unindexed at once, since its transaction may never release
+  at this site);
+* ``_waiting`` is the set of items whose queue is non-empty — the wait-for
+  graph, the re-probe pass and victim selection look only there.
+
+Grant order is part of the seeded behaviour: same-instant grants queue
+their events in the order items are visited.  Each entry therefore records
+its ``rank`` (creation order, i.e. its position in the table), and every
+walk over an index visits items sorted by rank — exactly the order a walk
+over the whole table would take.  The sets are never iterated directly,
+and empty entries are kept: a re-created entry would change its rank.
+
 Wounding a transaction that is *not* currently waiting cannot unwind it
 synchronously; instead the wounded id is reported through ``on_wound`` and
 the concurrency controller dooms it, so its next operation (or its 2PC
@@ -29,7 +47,7 @@ asynchronous aborts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.errors import ConcurrencyAbort, ProtocolError
 from repro.sim.kernel import Event, Simulator
@@ -51,7 +69,7 @@ class LockMode:
 _STRATEGIES = ("detect", "timeout", "wait_die", "wound_wait")
 
 
-@dataclass
+@dataclass(eq=False)
 class _Request:
     txn_id: int
     ts: float
@@ -63,6 +81,7 @@ class _Request:
 
 @dataclass
 class _ItemLock:
+    rank: int  # creation order: the entry's position in the lock table
     holders: dict[int, str] = field(default_factory=dict)  # txn -> mode
     queue: list[_Request] = field(default_factory=list)
 
@@ -104,6 +123,10 @@ class LockManager:
         self.stats = LockStats()
         self._table: dict[str, _ItemLock] = {}
         self._ts_of: dict[int, float] = {}
+        # txn -> items where it holds a lock or has a queued request
+        self._items_of: dict[int, set[str]] = {}
+        # items whose queue is non-empty
+        self._waiting: set[str] = set()
 
     # -- public API -----------------------------------------------------------
     def acquire(self, txn_id: int, ts: float, item: str, mode: str) -> Event:
@@ -115,7 +138,9 @@ class LockManager:
         if mode not in (LockMode.S, LockMode.X):
             raise ProtocolError(f"unknown lock mode {mode!r}")
         self._ts_of[txn_id] = ts
-        entry = self._table.setdefault(item, _ItemLock())
+        entry = self._table.get(item)
+        if entry is None:
+            entry = self._table[item] = _ItemLock(len(self._table))
         event = self.sim.event(name=f"lock:{item}:{mode}:txn{txn_id}")
 
         held = entry.holders.get(txn_id)
@@ -136,6 +161,7 @@ class LockManager:
 
         if self._grantable(entry, txn_id, mode):
             entry.holders[txn_id] = mode
+            self._items_of.setdefault(txn_id, set()).add(item)
             self.stats.acquired += 1
             event.succeed((item, mode))
             return event
@@ -145,30 +171,29 @@ class LockManager:
 
     def release_all(self, txn_id: int) -> None:
         """Release every lock and cancel every queued request of ``txn_id``."""
-        for item, entry in self._table.items():
-            dirty = False
-            if txn_id in entry.holders:
-                del entry.holders[txn_id]
-                dirty = True
+        for item in self._ranked(self._items_of.pop(txn_id, ())):
+            entry = self._table[item]
+            dirty = entry.holders.pop(txn_id, None) is not None
             kept = [r for r in entry.queue if r.txn_id != txn_id]
             if len(kept) != len(entry.queue):
                 entry.queue = kept
                 dirty = True
             if dirty:
-                self._grant_from_queue(entry)
+                self._grant_from_queue(item, entry)
         self._ts_of.pop(txn_id, None)
 
     def held_locks(self, txn_id: int) -> dict[str, str]:
         """Items currently locked by ``txn_id`` mapped to mode."""
-        return {
-            item: entry.holders[txn_id]
-            for item, entry in self._table.items()
-            if txn_id in entry.holders
-        }
+        held = {}
+        for item in self._ranked(self._items_of.get(txn_id, ())):
+            mode = self._table[item].holders.get(txn_id)
+            if mode is not None:
+                held[item] = mode
+        return held
 
     def waiting_count(self) -> int:
         """Number of queued (blocked) requests across all items."""
-        return sum(len(entry.queue) for entry in self._table.values())
+        return sum(len(self._table[item].queue) for item in self._ranked(self._waiting))
 
     def waiting_info(self) -> list[tuple[int, float, str, set[int], float]]:
         """Every queued request: (txn, ts, item, blockers, enqueued_at).
@@ -176,7 +201,8 @@ class LockManager:
         Used by the distributed-deadlock re-probe pass.
         """
         info = []
-        for item, entry in self._table.items():
+        for item in self._ranked(self._waiting):
+            entry = self._table[item]
             for request in entry.queue:
                 info.append(
                     (
@@ -196,7 +222,8 @@ class LockManager:
     def blockers_of(self, txn_id: int) -> set[int]:
         """Union of blockers over all of ``txn_id``'s queued requests."""
         blockers: set[int] = set()
-        for entry in self._table.values():
+        for item in self._ranked(self._waiting):
+            entry = self._table[item]
             for request in entry.queue:
                 if request.txn_id == txn_id:
                     blockers |= self._blockers_of(entry, request)
@@ -220,11 +247,7 @@ class LockManager:
 
         Returns True if the transaction was actually waiting here.
         """
-        waiting = any(
-            request.txn_id == txn_id
-            for entry in self._table.values()
-            for request in entry.queue
-        )
+        waiting = self._is_waiting(txn_id)
         if waiting:
             self.stats.deadlocks += 1
             self._abort_waiter(txn_id, reason)
@@ -238,6 +261,30 @@ class LockManager:
                     request.event.fail(ConcurrencyAbort("lock manager cleared (site crash)"))
         self._table.clear()
         self._ts_of.clear()
+        self._items_of.clear()
+        self._waiting.clear()
+
+    # -- indexes ------------------------------------------------------------------
+    def _ranked(self, items: Iterable[str]) -> list[str]:
+        """``items`` in lock-table order (see the module docstring)."""
+        table = self._table
+        return sorted(items, key=lambda item: table[item].rank)
+
+    def _forget(self, txn_id: int, item: str, entry: _ItemLock) -> None:
+        """Unindex ``item`` for ``txn_id`` after a request of it failed."""
+        if txn_id in entry.holders or any(r.txn_id == txn_id for r in entry.queue):
+            return
+        items = self._items_of[txn_id]
+        items.discard(item)
+        if not items:
+            del self._items_of[txn_id]
+
+    def _is_waiting(self, txn_id: int) -> bool:
+        return any(
+            request.txn_id == txn_id
+            for item in self._ranked(self._waiting)
+            for request in self._table[item].queue
+        )
 
     # -- granting -----------------------------------------------------------------
     def _grantable(self, entry: _ItemLock, txn_id: int, mode: str) -> bool:
@@ -277,6 +324,8 @@ class LockManager:
                     self._wound(blocker)
 
         entry.queue.append(request)
+        self._waiting.add(item)
+        self._items_of.setdefault(request.txn_id, set()).add(item)
         self.stats.waits += 1
         if self.on_block is not None:
             self.on_block(request.txn_id, request.ts, self._blockers_of(entry, request))
@@ -313,7 +362,7 @@ class LockManager:
                 blockers.add(queued.txn_id)
         return blockers
 
-    def _grant_from_queue(self, entry: _ItemLock) -> None:
+    def _grant_from_queue(self, item: str, entry: _ItemLock) -> None:
         # Upgrades first: an S-holder waiting for X proceeds once alone.
         progressed = True
         while progressed:
@@ -335,6 +384,8 @@ class LockManager:
                     # FIFO: do not let later requests overtake this one
                     # (upgrades excepted, handled above).
                     break
+        if not entry.queue:
+            self._waiting.discard(item)
 
     def _head_grantable(self, entry: _ItemLock, request: _Request) -> bool:
         return all(
@@ -351,7 +402,8 @@ class LockManager:
     # -- deadlock machinery ----------------------------------------------------------
     def _wait_for_graph(self) -> dict[int, set[int]]:
         graph: dict[int, set[int]] = {}
-        for entry in self._table.values():
+        for item in self._ranked(self._waiting):
+            entry = self._table[item]
             for request in entry.queue:
                 graph.setdefault(request.txn_id, set()).update(
                     self._blockers_of(entry, request)
@@ -387,25 +439,23 @@ class LockManager:
         return max(cycle, key=lambda txn: (self._ts_of.get(txn, 0.0), txn))
 
     def _abort_waiter(self, txn_id: int, reason: str) -> None:
-        for entry in self._table.values():
-            for request in list(entry.queue):
-                if request.txn_id == txn_id:
-                    entry.queue.remove(request)
-                    if not request.event.triggered:
-                        request.event.fail(ConcurrencyAbort(reason))
-        for entry in self._table.values():
-            self._grant_from_queue(entry)
+        for item in self._ranked(self._waiting):
+            entry = self._table[item]
+            mine = [request for request in entry.queue if request.txn_id == txn_id]
+            for request in mine:
+                entry.queue.remove(request)
+                if not request.event.triggered:
+                    request.event.fail(ConcurrencyAbort(reason))
+            if mine:
+                self._forget(txn_id, item, entry)
+        for item in self._ranked(self._waiting):
+            self._grant_from_queue(item, self._table[item])
 
     def _wound(self, txn_id: int) -> None:
         self.stats.wounds += 1
         # If the victim is waiting here, unwind it immediately; otherwise
         # report it so the controller dooms the transaction.
-        waiting = any(
-            request.txn_id == txn_id
-            for entry in self._table.values()
-            for request in entry.queue
-        )
-        if waiting:
+        if self._is_waiting(txn_id):
             self._abort_waiter(txn_id, reason="wounded by older transaction")
         if self.on_wound is not None:
             self.on_wound(txn_id)
@@ -415,7 +465,8 @@ class LockManager:
         if entry is None or request not in entry.queue:
             return
         entry.queue.remove(request)
+        self._forget(request.txn_id, item, entry)
         self.stats.timeouts += 1
         if not request.event.triggered:
             request.event.fail(ConcurrencyAbort(f"lock wait timeout on {item!r}"))
-        self._grant_from_queue(entry)
+        self._grant_from_queue(item, entry)

@@ -1,0 +1,33 @@
+"""Golden outputs: seeded tables that must not change by accident.
+
+Each golden file is the exact output of a CLI command run in a fresh
+interpreter (transaction ids, and so timestamp tie-breaks, are
+process-global).  Regenerate a fixture only for an intended behaviour
+change, and say so in the change log::
+
+    PYTHONPATH=src python -m repro experiment abl --json > tests/fixtures/golden/exp_abl.json
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(*args: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return done.stdout
+
+
+def test_exp_abl_matches_golden():
+    # The only seeded output that runs every 2PL deadlock strategy
+    # (detect, timeout, wait_die, wound_wait) end to end.
+    produced = run_cli("experiment", "abl", "--json")
+    assert produced == (GOLDEN / "exp_abl.json").read_text()

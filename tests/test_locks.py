@@ -290,3 +290,24 @@ class TestReleaseAndClear:
         sim.defer(7, lambda: locks.release_all(1))
         sim.run()
         assert locks.stats.total_wait_time == 7.0
+
+
+class TestGrantOrder:
+    def test_release_grants_in_table_order_not_acquisition_order(self, sim, locks):
+        # Same-instant grants queue their events in lock-table order; a
+        # release that followed the transaction's own acquisition order
+        # would hand out "b" before "a" here.
+        locks.acquire(9, 9.0, "a", LockMode.S)
+        locks.release_all(9)  # "a" now precedes "b" in the table
+        locks.acquire(1, 1.0, "b", LockMode.X)
+        locks.acquire(1, 1.0, "a", LockMode.X)
+        granted = []
+        on_a = locks.acquire(2, 2.0, "a", LockMode.X)
+        on_b = locks.acquire(3, 3.0, "b", LockMode.X)
+        on_a.callbacks.append(lambda _event: granted.append(2))
+        on_b.callbacks.append(lambda _event: granted.append(3))
+        sim.run()
+        assert granted == []
+        locks.release_all(1)
+        sim.run()
+        assert granted == [2, 3]
