@@ -4,6 +4,7 @@
 #   make lint        rainbow-lint over src/, benchmarks/, examples/
 #   make lint-all    rainbow-lint + ruff + mypy (skips tools not installed)
 #   make bench       kernel microbenchmark smoke run + BENCH_*.json artifacts
+#   make perfbench   one short session of each benchmark workload, correctness-gated
 #   make chaos       chaos suite: 25 nemesis seeds, all safety invariants
 #   make trace       traced session: phase breakdown + trace.json (Perfetto)
 #   make rules       print the rainbow-lint rule catalog
@@ -11,8 +12,9 @@
 PY       ?= python
 PYPATH   := PYTHONPATH=src
 LINTDIRS := src benchmarks examples
+WORKLOADS := uniform-bigcat hotspot-closed colocated-wan-traced
 
-.PHONY: test lint lint-all bench chaos trace rules
+.PHONY: test lint lint-all bench perfbench chaos trace rules
 
 test:
 	$(PYPATH) $(PY) -m pytest -x -q
@@ -35,6 +37,13 @@ lint-all: lint
 bench:
 	$(PYPATH) $(PY) -m pytest benchmarks/test_bench_kernel.py --benchmark-only -q -s
 	$(PYPATH) $(PY) -m repro bench
+
+# run.py exits 1 when a session fails its correctness gate (serializable,
+# every attempted transaction resolved).
+perfbench:
+	for w in $(WORKLOADS); do \
+		$(PY) perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
+	done
 
 chaos:
 	$(PYPATH) $(PY) -m repro chaos --seeds 25 -j 0

@@ -202,8 +202,12 @@ class RainbowConfig:
         return sorted(hosts)
 
     # -- validation -------------------------------------------------------------
-    def validate(self) -> None:
-        """Check the whole configuration for consistency."""
+    def validate(self) -> Catalog:
+        """Check the whole configuration for consistency.
+
+        Returns the catalog it decoded and checked, so a caller that needs
+        the catalog decodes ``catalog_data`` only once.
+        """
         if not self.sites:
             raise ConfigurationError("configuration has no sites")
         names = [site.name for site in self.sites]
@@ -226,6 +230,7 @@ class RainbowConfig:
                 raise ConfigurationError(f"fault target {target!r} is not a site")
         if self.faults.random_targets and (self.faults.mttf <= 0 or self.faults.mttr <= 0):
             raise ConfigurationError("random faults require positive mttf and mttr")
+        return catalog
 
     # -- persistence ---------------------------------------------------------------
     def to_dict(self) -> dict:

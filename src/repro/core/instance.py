@@ -10,7 +10,8 @@ monitor's statistics are packaged into a :class:`SessionResult`.
 Bring-up is faithful to the paper: the administrator registers sites with
 the name server, then every site *queries the name server over the network*
 for the site directory and the fragmentation/replication schema ("Any site
-can query the name server to get pertinent information").
+can query the name server to get pertinent information").  The schema is
+read-only after bring-up, so every site receives the same snapshot of it.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class RainbowInstance:
     """One configured, runnable Rainbow system."""
 
     def __init__(self, config: RainbowConfig):
-        config.validate()
+        catalog = config.validate()
         self.config = config
         self.sim = Simulator()
         self.streams = RandomStreams(config.seed)
@@ -79,8 +80,8 @@ class RainbowInstance:
         )
         self.injector = FaultInjector(self.sim, self.network)
         self.nameserver = NameServer(self.sim, self.network, config.nameserver_host)
-        self.nameserver.catalog = config.catalog()
-        self.catalog: Catalog = self.nameserver.catalog
+        self.nameserver.catalog = catalog
+        self.catalog: Catalog = catalog
         self.injector.register(self.nameserver)
 
         protocols = config.protocols
@@ -99,6 +100,7 @@ class RainbowInstance:
         )
 
         self.sites: dict[str, Site] = {}
+        copies = catalog.copies_by_site()
         for site_config in config.sites:
             site = Site(
                 self.sim,
@@ -115,10 +117,8 @@ class RainbowInstance:
                 probe_interval=config.probe_interval,
                 checkpoint_interval=config.checkpoint_interval,
             )
-            for item_name in self.catalog.items_at(site_config.name):
-                site.store.create_copy(
-                    item_name, self.catalog.item(item_name).initial_value
-                )
+            for spec in copies.get(site_config.name, ()):
+                site.store.create_copy(spec.name, spec.initial_value)
             site.coordinator_factory = self._coordinate
             self.nameserver.register_site(site.name, site.address, site.host)
             self.injector.register(site)
@@ -216,9 +216,9 @@ class RainbowInstance:
             schema = yield site.endpoint.request(
                 self.nameserver.address, MessageType.NS_CATALOG, {}, timeout=30.0
             )
-            site.catalog_cache = Catalog.from_dict(
-                (schema.payload or {}).get("catalog", {})
-            )
+            # The name server's shared snapshot: one read-only copy for
+            # every site, never the live catalog.
+            site.catalog_cache = schema.payload["catalog"]
         except (RpcTimeout, NetworkError):
             # Name server unreachable at bring-up: fall back to the
             # administrator's local copies (the instance owns them anyway).

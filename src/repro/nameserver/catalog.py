@@ -234,6 +234,14 @@ class Catalog:
             name for name, spec in self._items.items() if site_name in spec.placement
         )
 
+    def copies_by_site(self) -> dict[str, list[ItemSpec]]:
+        """Every site's copies in one pass: site -> its item specs, sorted by name."""
+        by_site: dict[str, list[ItemSpec]] = {}
+        for spec in self.items():
+            for site in spec.placement:
+                by_site.setdefault(site, []).append(spec)
+        return by_site
+
     def all_sites(self) -> list[str]:
         """Every site mentioned in any placement (sorted)."""
         sites: set[str] = set()
@@ -255,6 +263,29 @@ class Catalog:
                     raise CatalogError(
                         f"item {spec.name!r} placed on unknown sites {sorted(missing)}"
                     )
+
+    def copy(self) -> "Catalog":
+        """An independent copy of every spec and fragment, without a dict round trip.
+
+        Item values are shared, as :meth:`from_dict` shares them with its input.
+        """
+        clone = Catalog()
+        clone._items = {
+            name: ItemSpec(
+                name=name,
+                initial_value=spec.initial_value,
+                placement=dict(spec.placement),
+                read_quorum=spec.read_quorum,
+                write_quorum=spec.write_quorum,
+                fragment=spec.fragment,
+            )
+            for name, spec in self._items.items()
+        }
+        clone._fragments = {
+            name: Fragment(name, list(frag.items), frag.description)
+            for name, frag in self._fragments.items()
+        }
+        return clone
 
     def to_dict(self) -> dict:
         """Serialisable form (used by config save/load and the web tier)."""

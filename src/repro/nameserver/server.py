@@ -10,14 +10,21 @@ handler answers ``NS_*`` requests as they are delivered, and is crashable by
 the fault injector.  There is exactly one name server per Rainbow instance
 (as in the paper); its metadata survives crashes (it is the *service* that
 goes down, not the catalog).
+
+Sites fetch the schema once, at bring-up, and the schema is read-only while
+they run, so every ``NS_CATALOG`` reply carries the same :meth:`snapshot`:
+one copy of the catalog, made on the first query and made again only after
+the catalog changes.  Sites are thus isolated from later edits without each
+decoding a copy of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from repro.errors import CatalogError
-from repro.nameserver.catalog import Catalog
+from repro.nameserver.catalog import Catalog, ItemSpec
 from repro.net.message import Message, MessageType
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
@@ -46,7 +53,8 @@ class NameServer:
         self.name = name
         self.host = host
         self.endpoint = network.endpoint(host, name, handler=self._handle)
-        self.catalog = Catalog()
+        self._catalog = Catalog()
+        self._snapshot: Optional[Catalog] = None
         self._registry: dict[str, SiteInfo] = {}
         self.up = True
         self.queries_served = 0
@@ -55,6 +63,45 @@ class NameServer:
     def address(self) -> str:
         """The name server's network address."""
         return self.endpoint.address
+
+    # -- catalog --------------------------------------------------------------
+    @property
+    def catalog(self) -> Catalog:
+        """The live schema.
+
+        Change it only by assigning it or through :meth:`configure_quorums`,
+        so that the snapshot sites receive follows the change.
+        """
+        return self._catalog
+
+    @catalog.setter
+    def catalog(self, catalog: Catalog) -> None:
+        self._catalog = catalog
+        self._snapshot = None
+
+    def snapshot(self) -> Catalog:
+        """The copy of the catalog every ``NS_CATALOG`` reply shares.
+
+        Readers must treat it as read-only; it is never the live catalog.
+        """
+        if self._snapshot is None:
+            self._snapshot = self._catalog.copy()
+        return self._snapshot
+
+    def configure_quorums(
+        self, item_name: str, read_quorum: Optional[int], write_quorum: Optional[int]
+    ) -> ItemSpec:
+        """Set one item's quorums (``None`` = majority), all or nothing.
+
+        Raises :class:`CatalogError`, leaving the catalog unchanged, when the
+        item is unknown or the new quorums violate the quorum rules.
+        """
+        spec = self._catalog.item(item_name)
+        replace(spec, read_quorum=read_quorum, write_quorum=write_quorum).validate()
+        spec.read_quorum = read_quorum
+        spec.write_quorum = write_quorum
+        self._snapshot = None
+        return spec
 
     # -- local (administrator) interface ------------------------------------
     def register_site(self, name: str, address: str, host: str) -> SiteInfo:
@@ -121,8 +168,8 @@ class NameServer:
             self.endpoint.reply(
                 msg,
                 MessageType.NS_REPLY,
-                payload={"catalog": self.catalog.to_dict()},
-                size=max(1, len(self.catalog)),
+                payload={"catalog": self.snapshot()},
+                size=max(1, len(self._catalog)),
             )
         else:
             self.endpoint.reply(

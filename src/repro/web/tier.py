@@ -19,7 +19,7 @@ from dataclasses import asdict
 from typing import Optional
 
 from repro.core.instance import RainbowInstance
-from repro.errors import AuthorizationError, NetworkError, RpcTimeout, WebTierError
+from repro.errors import AuthorizationError, CatalogError, NetworkError, RpcTimeout, WebTierError
 from repro.net.message import MessageType
 from repro.web.requests import WebRequest, WebResponse
 from repro.web.servlets import RUNNER_NAME, Servlet, ServletRunner
@@ -126,10 +126,14 @@ class NSlet(Servlet):
                 }
             )
         if request.action == "configure_quorums":
-            item = nameserver.catalog.item(request.args["item"])
-            item.read_quorum = request.args.get("read_quorum")
-            item.write_quorum = request.args.get("write_quorum")
-            item.validate()
+            try:
+                item = nameserver.configure_quorums(
+                    request.args["item"],
+                    request.args.get("read_quorum"),
+                    request.args.get("write_quorum"),
+                )
+            except CatalogError as error:
+                return WebResponse.failure(str(error))
             return WebResponse.success({"item": item.name})
         return WebResponse.failure(f"unknown NSlet action {request.action!r}")
         yield  # pragma: no cover - generator marker

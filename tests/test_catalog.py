@@ -205,3 +205,16 @@ class TestValidationAndRoundtrip:
         assert clone.item("x1").fragment == "f"
         assert clone.fragment("f").description == "desc"
         assert clone.item("x3").placement == catalog.item("x3").placement
+
+    def test_copy_preserves_schema_and_is_independent(self):
+        catalog = make_catalog()
+        catalog.item("x0").read_quorum = 2
+        catalog.define_fragment("f", ["x1", "x2"], "desc")
+        clone = catalog.copy()
+        assert clone.items() == catalog.items()
+        assert clone.fragments() == catalog.fragments()
+        assert clone.to_dict() == catalog.to_dict()
+        clone.item("x3").placement["extra"] = 1
+        clone.fragment("f").items.append("x3")
+        assert "extra" not in catalog.item("x3").placement
+        assert catalog.fragment("f").items == ["x1", "x2"]

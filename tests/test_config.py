@@ -64,7 +64,7 @@ class TestQuickBuilder:
         catalog = config.catalog()
         assert len(catalog) == 8
         assert all(spec.replication_degree == 2 for spec in catalog.items())
-        config.validate()
+        assert config.validate().items() == catalog.items()  # the catalog it checked
 
     def test_quick_full_replication_by_default(self):
         config = RainbowConfig.quick(n_sites=3, n_items=4)

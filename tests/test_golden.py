@@ -31,3 +31,16 @@ def test_exp_abl_matches_golden():
     # (detect, timeout, wait_die, wound_wait) end to end.
     produced = run_cli("experiment", "abl", "--json")
     assert produced == (GOLDEN / "exp_abl.json").read_text()
+
+
+def test_exp_scale_matches_golden():
+    # Bring-up at 1..8 sites with partial replication: guards that how the
+    # catalog reaches each site leaves every seeded row unchanged.
+    produced = run_cli("experiment", "scale", "--json")
+    assert produced == (GOLDEN / "exp_scale.json").read_text()
+
+
+def test_exp_matrix_matches_golden():
+    # Every RCP x CCP x ACP cell on one seed.
+    produced = run_cli("experiment", "matrix", "--json")
+    assert produced == (GOLDEN / "exp_matrix.json").read_text()

@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import RainbowConfig
 from repro.core.instance import RainbowInstance
 from repro.errors import ConfigurationError
+from repro.net.message import MessageType
 from repro.txn.transaction import Operation, Transaction
 from repro.workload.spec import WorkloadSpec
 from tests.conftest import quick_instance
@@ -25,6 +26,11 @@ class TestBringUp:
             holders = instance.catalog.sites_holding(item)
             for name, site in instance.sites.items():
                 assert site.store.has_copy(item) == (name in holders)
+
+    def test_copies_installed_in_sorted_item_order(self):
+        instance = quick_instance(n_sites=4, n_items=12, replication_degree=2)
+        for name, site in instance.sites.items():
+            assert list(site.store.snapshot()) == instance.catalog.items_at(name)
 
     def test_invalid_config_rejected_at_construction(self):
         config = RainbowConfig()  # no sites
@@ -53,6 +59,7 @@ class TestBringUp:
         instance.start()  # falls back to administrator copies
         for site in instance.sites.values():
             assert site.directory == instance.directory
+            assert site.catalog_cache is instance.catalog
 
     def test_fault_plan_applied_on_start(self):
         instance = quick_instance(n_sites=2, n_items=4, settle_time=5)
@@ -60,6 +67,49 @@ class TestBringUp:
         instance.start()
         instance.sim.run(until=15)
         assert not instance.sites["site2"].up
+
+
+class TestCatalogSnapshot:
+    """Sites share the name server's one read-only snapshot of the schema."""
+
+    def test_sites_share_one_copy_that_is_not_the_live_catalog(self):
+        instance = quick_instance(n_sites=3, n_items=6)
+        instance.start()
+        caches = {id(site.catalog_cache) for site in instance.sites.values()}
+        assert len(caches) == 1
+        shared = instance.sites["site1"].catalog_cache
+        assert shared is not instance.nameserver.catalog
+        assert shared.items() == instance.nameserver.catalog.items()
+
+    def test_reconfiguration_after_bring_up_leaves_sites_unchanged(self):
+        instance = quick_instance(n_sites=3, n_items=4)
+        instance.start()
+        instance.nameserver.configure_quorums("x1", 1, 3)
+        assert instance.catalog.item("x1").read_quorum == 1
+        for site in instance.sites.values():
+            spec = site.catalog_cache.item("x1")
+            assert (spec.read_quorum, spec.write_quorum) == (None, None)
+
+    def test_later_ns_catalog_query_returns_new_quorums(self):
+        instance = quick_instance(n_sites=3, n_items=4)
+        instance.start()
+        instance.nameserver.configure_quorums("x1", 1, 3)
+        site = instance.sites["site2"]
+
+        def query():
+            return (
+                yield site.endpoint.request(
+                    instance.nameserver.address, MessageType.NS_CATALOG, {}, timeout=30.0
+                )
+            )
+
+        process = instance.sim.process(query())
+        instance.sim.run(until=process)
+        reply = process.value
+        spec = reply.payload["catalog"].item("x1")
+        assert (spec.read_quorum, spec.write_quorum) == (1, 3)
+        assert reply.payload["catalog"] is not instance.nameserver.catalog
+        assert reply.size == len(instance.catalog) == 4
 
 
 class TestDirectSubmission:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import CatalogError, RpcTimeout
+from repro.nameserver.catalog import Catalog
 from repro.nameserver.server import NameServer
 from repro.net.message import MessageType
 from tests.conftest import drive
@@ -35,6 +36,36 @@ class TestRegistry:
         ns.register_site("s2", "h2/s2", "h2")
         ns.register_site("s1", "h1/s1", "h1")
         assert [info.name for info in ns.sites()] == ["s1", "s2"]
+
+
+class TestCatalogSnapshot:
+    def test_snapshot_is_a_cached_copy(self, ns):
+        snapshot = ns.snapshot()
+        assert snapshot is not ns.catalog
+        assert snapshot.item("x") == ns.catalog.item("x")
+        assert snapshot.item("x") is not ns.catalog.item("x")
+        assert ns.snapshot() is snapshot
+
+    def test_invalid_quorums_leave_catalog_and_snapshot_unchanged(self, ns):
+        ns.catalog.add_item("y", placement=["s1", "s2", "s3"])
+        before = ns.snapshot()
+        with pytest.raises(CatalogError, match="must exceed total votes 3"):
+            ns.configure_quorums("y", 1, 1)
+        spec = ns.catalog.item("y")
+        assert (spec.read_quorum, spec.write_quorum) == (None, None)
+        assert ns.snapshot() is before
+
+    def test_unknown_item_rejected(self, ns):
+        with pytest.raises(CatalogError, match="unknown item"):
+            ns.configure_quorums("ghost", 1, 1)
+
+    def test_assigning_a_catalog_replaces_the_snapshot(self, ns):
+        before = ns.snapshot()
+        replacement = Catalog()
+        replacement.add_item("z", placement=["s1"])
+        ns.catalog = replacement
+        assert ns.snapshot() is not before
+        assert ns.snapshot().item_names() == ["z"]
 
 
 class TestService:
@@ -73,7 +104,24 @@ class TestService:
             return reply.payload["catalog"]
 
         catalog = drive(sim, run())
-        assert "x" in catalog["items"]
+        assert "x" in catalog
+        assert catalog.item("x") == ns.catalog.item("x")
+        assert catalog is not ns.catalog
+
+    def test_ns_catalog_replies_share_one_snapshot(self, sim, network, ns):
+        ns.catalog.add_item("y", placement=["s1", "s2", "s3"])
+        client = self._client(network)
+
+        def run():
+            replies = []
+            for _ in range(2):
+                reply = yield client.request(ns.address, MessageType.NS_CATALOG, {}, timeout=10)
+                replies.append(reply)
+            return replies
+
+        first, second = drive(sim, run())
+        assert first.payload["catalog"] is second.payload["catalog"]
+        assert first.size == second.size == len(ns.catalog) == 2
 
     def test_ns_register_via_message(self, sim, network, ns):
         client = self._client(network)

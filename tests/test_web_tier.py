@@ -118,6 +118,35 @@ class TestAuth:
         assert response.ok
         assert instance.nameserver.catalog.item("x1").read_quorum == 1
 
+    def test_invalid_quorums_refused_with_catalog_unchanged(self):
+        instance = quick_instance(n_sites=3, n_items=4)
+        instance.start()
+        tier = RainbowWebTier(instance)
+        applet = logged_in_applet(tier, "admin", "admin")
+        before = instance.nameserver.catalog.item("x1")
+        started = instance.sim.now
+        response = applet.call(
+            "nsrunnerlet", "configure_quorums",
+            {"item": "x1", "read_quorum": 1, "write_quorum": 1},
+        )
+        assert not response.ok
+        assert "r+w = 1+1 must exceed total votes 3" in response.error
+        assert instance.sim.now - started < 10  # an answer, not an RPC timeout
+        spec = instance.nameserver.catalog.item("x1")
+        assert spec is before
+        assert (spec.read_quorum, spec.write_quorum) == (None, None)
+        instance.nameserver.catalog.validate()
+
+    def test_unknown_item_refused(self, domain):
+        _instance, tier = domain
+        applet = logged_in_applet(tier, "admin", "admin")
+        response = applet.call(
+            "nsrunnerlet", "configure_quorums",
+            {"item": "ghost", "read_quorum": 1, "write_quorum": 3},
+        )
+        assert not response.ok
+        assert "unknown item" in response.error
+
     def test_custom_user_table(self):
         instance = quick_instance(n_sites=2, n_items=4)
         instance.start()
