@@ -7,6 +7,15 @@ request is passed to the receiving endpoint's handler at the delivery
 instant.  Request/reply exchanges go through :meth:`Endpoint.request`, which
 handles correlation ids, timeouts, and round-trip accounting.
 
+RPC expiry keeps answered requests off the kernel heap.  An endpoint holds
+one FIFO of pending requests per timeout value; since they share the
+timeout, their deadlines are already in order.  Only the head of each FIFO
+holds a kernel timer, scheduled at the very ``(deadline, seq)`` key that a
+per-request timer made at send time would have had (the key is reserved
+then), so expiries interleave with every other event exactly as before.
+When the timer fires it fails the head if still unanswered, skips the
+answered requests behind it, and re-arms for the next live one.
+
 Failure semantics (driven by the fault injector):
 
 * a *down* endpoint receives nothing — messages in flight to it are lost,
@@ -27,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
+from collections import Counter, deque
 from typing import Callable, Iterable, Optional
 
 from repro.errors import NetworkError, RpcTimeout, SimulationError
@@ -105,6 +114,9 @@ class Endpoint:
         self.up = True
         self.handler = handler
         self._pending_rpcs: dict[int, Event] = {}
+        #: timeout -> FIFO of ``(deadline, seq, request)`` for the RPCs sent
+        #: with it; answered entries stay until the head timer skips them.
+        self._expiry: dict[float, deque] = {}
 
     # -- lifecycle ----------------------------------------------------------
     def set_down(self) -> None:
@@ -112,7 +124,8 @@ class Endpoint:
 
         Pending RPCs issued *by* this endpoint are failed too — the caller
         process died with its site, and Rainbow counts the resulting
-        half-done transactions as orphans.
+        half-done transactions as orphans.  Their expiry-queue entries stay
+        behind and are skipped when the head timer reaches them.
         """
         self.up = False
         pending, self._pending_rpcs = self._pending_rpcs, {}
@@ -190,21 +203,39 @@ class Endpoint:
         Returns an event that succeeds with the reply :class:`Message` or
         fails with :class:`RpcTimeout`.  A crashed destination simply never
         answers — exactly the failure mode 2PC's timeout actions exist for.
+
+        The expiry joins this endpoint's FIFO for ``timeout`` at a kernel
+        key reserved now; it reaches the heap only if it becomes the head
+        of that FIFO (see the module docstring).
         """
         if timeout <= 0:
             raise SimulationError(f"rpc timeout must be positive, got {timeout}")
-        result = self.network.sim.event(name=mtype)
+        sim = self.network.sim
+        result = sim.event(name=mtype)
         msg = self.send(dst, mtype, payload, txn_id=txn_id, size=size, span=span)
         self._pending_rpcs[msg.msg_id] = result
-
-        def _expire() -> None:
-            pending = self._pending_rpcs.pop(msg.msg_id, None)
-            if pending is not None and not pending.triggered:
-                self.network.stats.rpc_timeouts += 1
-                pending.fail(RpcTimeout(f"{mtype} to {dst} timed out", destination=dst))
-
-        self.network.sim.defer(timeout, _expire)
+        when, seq = sim.reserve(timeout)
+        queue = self._expiry.get(timeout)
+        if queue is None:
+            queue = self._expiry[timeout] = deque()
+        queue.append((when, seq, msg))
+        if len(queue) == 1:
+            sim.defer_at(when, seq, self._expire_head, queue)
         return result
+
+    def _expire_head(self, queue: deque) -> None:
+        """The head timer of one expiry FIFO fired: expire it, re-arm the next."""
+        pending_rpcs = self._pending_rpcs
+        _when, _seq, msg = queue.popleft()
+        pending = pending_rpcs.pop(msg.msg_id, None)
+        if pending is not None and not pending.triggered:
+            self.network.stats.rpc_timeouts += 1
+            pending.fail(RpcTimeout(f"{msg.mtype} to {msg.dst} timed out", destination=msg.dst))
+        while queue and queue[0][2].msg_id not in pending_rpcs:
+            queue.popleft()  # answered, or failed by set_down
+        if queue:
+            when, seq, _msg = queue[0]
+            self.network.sim.defer_at(when, seq, self._expire_head, queue)
 
 
 class Network:

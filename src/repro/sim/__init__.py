@@ -2,6 +2,7 @@
 
 from repro.sim.kernel import (
     AllOf,
+    AllSettled,
     AnyOf,
     Event,
     Interrupt,
@@ -13,6 +14,7 @@ from repro.sim.randoms import RandomStreams, zipf_weights
 
 __all__ = [
     "AllOf",
+    "AllSettled",
     "AnyOf",
     "Event",
     "Interrupt",

@@ -17,7 +17,7 @@ The kernel is intentionally SimPy-like but self-contained:
 * :class:`Process` wraps a generator; yielding an event suspends the process
   until the event fires.  A failed event is re-raised inside the generator so
   processes handle protocol failures with ordinary ``try/except``.
-* :class:`AnyOf` / :class:`AllOf` compose events.
+* :class:`AnyOf` / :class:`AllOf` / :class:`AllSettled` compose events.
 * :meth:`Process.interrupt` throws :class:`Interrupt` into a suspended
   process — used to kill in-flight work when a site crashes.
 
@@ -40,6 +40,7 @@ __all__ = [
     "Process",
     "AnyOf",
     "AllOf",
+    "AllSettled",
     "Interrupt",
     "Simulator",
     "PENDING",
@@ -198,8 +199,9 @@ class _Call:
     """A scheduled bare callback: the cheapest thing the heap can hold.
 
     Used by :meth:`Simulator.defer` for fire-and-forget timers (message
-    delivery, lightweight expirations) where a full :class:`Event` — with
-    its callback list, state machine, and waiter support — is overhead.
+    delivery, lock-wait expirations, the head timers of RPC expiry queues)
+    where a full :class:`Event` — with its callback list, state machine,
+    and waiter support — is overhead.
     The event loop only requires ``_run_callbacks``.
     """
 
@@ -229,7 +231,7 @@ class _ConditionEvent(Event):
                 raise SimulationError("condition mixes events from different simulators")
         self._remaining = len(self.events)
         if not self.events:
-            self.succeed({})
+            self.succeed(self._results())
             return
         for event in self.events:
             event.add_callback(self._child_fired)
@@ -283,6 +285,25 @@ class AllOf(_ConditionEvent):
             self.succeed(self._results())
 
 
+class AllSettled(_ConditionEvent):
+    """Succeeds once every child event has fired, successfully or not.
+
+    The value lists each child's value in order, with a failed child's
+    exception in its place; the condition itself never fails.  Check a
+    child's ``ok`` to tell a failure from a value that is an exception.
+    """
+
+    __slots__ = ()
+
+    def _child_fired(self, event: Event) -> None:
+        self._remaining -= 1
+        if self._remaining == 0:
+            self.succeed(self._results())
+
+    def _results(self) -> list:  # type: ignore[override]
+        return [event._value for event in self.events]
+
+
 class Process(Event):
     """A running generator; completes when the generator returns.
 
@@ -293,17 +314,26 @@ class Process(Event):
     exception.
     """
 
-    __slots__ = ("generator", "_waiting_on", "_interrupts")
+    __slots__ = ("generator", "_waiting_on", "_interrupts", "_in_place")
 
-    def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
+    def __init__(
+        self, sim: "Simulator", generator: Generator, name: str = "", *, bootstrap: bool = True
+    ):
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         self.generator = generator
         self._waiting_on: Optional[Event] = None
         self._interrupts: list[Interrupt] = []
+        # Completes in place (see Simulator.start) instead of via the heap.
+        self._in_place = False
+        if bootstrap:
+            self._schedule_bootstrap()
+
+    def _schedule_bootstrap(self) -> None:
         # Start the process at the current instant (but not synchronously,
         # so the creator finishes its own step first).  An interrupt that
         # arrives before the first step lands in ``_interrupts`` and is
         # delivered by the bootstrap step itself.
+        sim = self.sim
         sim._sequence += 1
         _heappush(sim._heap, (sim._now, sim._sequence, _Call(self._bootstrap)))
 
@@ -366,24 +396,26 @@ class Process(Event):
             else:
                 target = self.generator.send(send)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            self._end(True, stop.value)
             return
         except Interrupt as interrupt:
             # An uncaught interrupt terminates the process quietly: the
             # process was killed on purpose (e.g. its site crashed).
-            self.succeed(interrupt)
+            self._end(True, interrupt)
             return
         except BaseException as exc:  # noqa: BLE001 - deliberate funnel
-            self.fail(exc)
+            self._end(False, exc)
             return
 
         # One getattr replaces the isinstance + ownership pair on the hot
         # path; the slow path below recovers the precise error.
         if getattr(target, "sim", None) is not self.sim:
             if not isinstance(target, Event):
-                self.fail(SimulationError(f"process {self.name!r} yielded non-event {target!r}"))
+                self._end(
+                    False, SimulationError(f"process {self.name!r} yielded non-event {target!r}")
+                )
             else:
-                self.fail(SimulationError("process yielded event from another simulator"))
+                self._end(False, SimulationError("process yielded event from another simulator"))
             return
         if self._interrupts:
             # An interrupt arrived while the process body was executing:
@@ -395,6 +427,18 @@ class Process(Event):
             return
         self._waiting_on = target
         target.add_callback(self._resume)
+
+    def _end(self, ok: bool, value: Any) -> None:
+        if not self._in_place:
+            if ok:
+                self.succeed(value)
+            else:
+                self.fail(value)
+            return
+        # Processed right here, off the heap (see Simulator.start).
+        self._ok = ok
+        self._value = value
+        self._run_callbacks()
 
 
 class Simulator:
@@ -432,6 +476,56 @@ class Simulator:
             raise SimulationError("process() requires a generator (did you call the function?)")
         return Process(self, generator, name=name)
 
+    def start(self, generator: Generator, name: str = "") -> Process:
+        """Start fire-and-forget work: :meth:`process` minus two heap hops.
+
+        Meant as the last thing an event callback does.  If nothing else
+        is due at this instant, a bootstrap event would be the very next
+        one, so the first step runs inline, now, instead; otherwise the
+        process is scheduled exactly as :meth:`process` would schedule it.
+        The process also completes in place: when the generator returns
+        (or raises, or is interrupted) the process is processed and its
+        callbacks run right there, not one event later.  So a generator
+        that finishes in its first step comes back already processed with
+        its value, having touched nothing; one that waits comes back as a
+        process waiting on the event it yielded, interruptible like any.
+
+        Nothing may be ordered against the completion: a process waiting
+        on it would resume inside the finishing step.
+        """
+        if not hasattr(generator, "send"):
+            raise SimulationError("start() requires a generator (did you call the function?)")
+        process = Process(self, generator, name=name, bootstrap=False)
+        process._in_place = True
+        self._launch([process])
+        return process
+
+    def fan_out(self, named: Iterable[tuple[Generator, str]]) -> list[Process]:
+        """Launch one process per ``(generator, name)``, as :meth:`process` would.
+
+        Meant as the last thing an event callback does before its process
+        waits on the result.  If nothing else is due at this instant, the
+        bootstraps would be the next events, back to back, so the first
+        steps run inline, now, in order; otherwise the processes are
+        scheduled normally.  Either way they complete through the heap as
+        usual, so conditions over them fire where they would have.
+        """
+        processes = [
+            Process(self, generator, name=name, bootstrap=False) for generator, name in named
+        ]
+        self._launch(processes)
+        return processes
+
+    def _launch(self, processes: list[Process]) -> None:
+        heap = self._heap
+        if heap and heap[0][0] <= self._now:
+            # Other work is due now and would run before any bootstrap.
+            for process in processes:
+                process._schedule_bootstrap()
+        else:
+            for process in processes:
+                process._bootstrap()
+
     def defer(self, delay: float, fn: Callable, arg: Any = _NO_ARG) -> None:
         """Schedule ``fn(arg)`` (or ``fn()``) after ``delay`` time units.
 
@@ -444,6 +538,26 @@ class Simulator:
         self._sequence += 1
         _heappush(self._heap, (self._now + delay, self._sequence, _Call(fn, arg)))
 
+    def reserve(self, delay: float) -> tuple[float, int]:
+        """Reserve the heap key ``(when, seq)`` a :meth:`defer` made now would get.
+
+        Nothing is scheduled.  Pass the key to :meth:`defer_at` later (at
+        most once) and the callback fires exactly where that ``defer``
+        would have, including its tie-break against every other event of
+        the same instant.  Timers that are usually cancelled (RPC expiry)
+        reserve their key up front and occupy the heap only when needed.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        self._sequence += 1
+        return self._now + delay, self._sequence
+
+    def defer_at(self, when: float, seq: int, fn: Callable, arg: Any = _NO_ARG) -> None:
+        """Schedule ``fn(arg)`` (or ``fn()``) at a key from :meth:`reserve`."""
+        if when < self._now:
+            raise SimulationError(f"cannot schedule at {when}: clock already at {self._now}")
+        _heappush(self._heap, (when, seq, _Call(fn, arg)))
+
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event that fires when any of ``events`` succeeds."""
         return AnyOf(self, events)
@@ -451,6 +565,10 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when all of ``events`` have succeeded."""
         return AllOf(self, events)
+
+    def all_settled(self, events: Iterable[Event]) -> AllSettled:
+        """Event that fires when all of ``events`` have fired, with their values or exceptions."""
+        return AllSettled(self, events)
 
     # -- execution ----------------------------------------------------------
     def step(self) -> bool:

@@ -141,7 +141,9 @@ class LockManager:
         entry = self._table.get(item)
         if entry is None:
             entry = self._table[item] = _ItemLock(len(self._table))
-        event = self.sim.event(name=f"lock:{item}:{mode}:txn{txn_id}")
+        # Static name, as for Timeout: nothing reads lock event names, and
+        # formatting one per request was measurable.
+        event = self.sim.event(name="lock")
 
         held = entry.holders.get(txn_id)
         if held is not None:

@@ -8,10 +8,10 @@ A :class:`Site` owns:
 
 * a network endpoint whose requests are dispatched through a
   ``{message type: handler}`` table at the delivery instant.  Handlers that
-  never wait (votes, decisions, submissions) run inline; a copy access may
-  wait in the concurrency controller, so it runs as its own process (the
-  paper's "one thread per transaction" model — here one process per
-  access plus one per home transaction);
+  never wait (votes, decisions, submissions) run inline; a copy access also
+  starts inline, and if it waits in the concurrency controller it goes on
+  as its own process (the paper's "one thread per transaction" model —
+  here one process per waiting access plus one per home transaction);
 * the committed :class:`~repro.site.storage.LocalStore` and durable
   :class:`~repro.site.wal.WriteAheadLog` (the simulated disk);
 * a pluggable concurrency controller (2PL / TSO / MVTO) guarding the local
@@ -211,7 +211,10 @@ class Site:
             self._spawn(self._checkpoint_loop(), name=f"site:{self.name}:ckpt")
 
     def _spawn(self, generator, name: str) -> Process:
-        process = self.sim.process(generator, name=name)
+        return self._track(self.sim.process(generator, name=name))
+
+    def _track(self, process: Process) -> Process:
+        """Make a running process die with the site (interrupted on crash)."""
         self._processes.add(process)
         process.add_callback(lambda _ev: self._processes.discard(process))
         return process
@@ -299,9 +302,13 @@ class Site:
             handler(msg)
 
     def _on_access(self, msg: Message) -> None:
-        # A copy access may wait in the CCP: run it as a process of this
-        # site, so a crash interrupts it.
-        self._spawn(self._serve_access(msg), name=f"site:{self.name}:{msg.mtype}")
+        # Run the access now, up to its first wait (Simulator.start: this is
+        # the last thing the delivery does).  One that waits, in the CCP or
+        # for its batch, stays a process of this site, so a crash interrupts
+        # it.  Nothing waits on an access, so it may complete in place.
+        process = self.sim.start(self._serve_access(msg), name=f"site:{self.name}:{msg.mtype}")
+        if process.is_alive:
+            self._track(process)
 
     def _serve_access(self, msg: Message):
         """Serve one copy-access request (generator).
@@ -327,17 +334,21 @@ class Site:
         Each access targets this site or a co-located sibling and runs as
         its own process (a lock wait at one sibling must not serialize the
         others); the single reply carries one entry per requested site.
+        The fan-out is the gateway's first step, so it is always the last
+        thing its event does, as :meth:`Simulator.fan_out` requires.
         """
         sites = payload.get("sites") or []
         prepares = payload.get("prepare") or {}
         write = payload.get("kind") == "W"
-        procs = [
-            self._spawn(
+        procs = self.sim.fan_out(
+            (
                 self._access(target, payload, write, prepares.get(target), msg.span),
-                name=f"site:{self.name}:batch:{target}",
+                f"site:{self.name}:batch:{target}",
             )
             for target in sites
-        ]
+        )
+        for process in procs:
+            self._track(process)
         if procs:
             yield self.sim.all_of(procs)
         results = [

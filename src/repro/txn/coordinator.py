@@ -598,9 +598,11 @@ class TxnContext:
                 )
                 for participant in remote
             ]
-            results = yield from self._gather(self._settle(event) for event in events)
-            for participant, result in zip(remote, results):
-                if isinstance(result, Exception):
+            results = yield self.sim.all_settled(events)
+            for participant, event, result in zip(remote, events, results):
+                if not event.ok:
+                    if not isinstance(result, (RpcTimeout, NetworkError)):
+                        raise result
                     all_yes = False
                     detail.append(f"{participant.site}: no vote ({result})")
                     continue
@@ -615,14 +617,6 @@ class TxnContext:
             self.home.crash()
             raise Interrupt("failpoint: after_votes")
         return all_yes, "; ".join(detail)
-
-    def _settle(self, event):
-        """Convert an RPC event into a value-or-exception (never raises)."""
-        try:
-            reply = yield event
-        except (RpcTimeout, NetworkError) as failure:
-            return failure
-        return reply
 
     def broadcast(self, mtype: str, *, retries: Optional[int] = None):
         """Send a decision/phase message to every participant, with retries.

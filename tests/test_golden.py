@@ -1,4 +1,4 @@
-"""Golden outputs: seeded tables that must not change by accident.
+"""Golden outputs: seeded tables, chaos reports and traces that must not change by accident.
 
 Each golden file is the exact output of a CLI command run in a fresh
 interpreter (transaction ids, and so timestamp tie-breaks, are
@@ -44,3 +44,40 @@ def test_exp_matrix_matches_golden():
     # Every RCP x CCP x ACP cell on one seed.
     produced = run_cli("experiment", "matrix", "--json")
     assert produced == (GOLDEN / "exp_matrix.json").read_text()
+
+
+def test_chaos_matches_golden():
+    # QC/2PL/2PC under 25 nemesis seeds: crashes, partitions and flaky
+    # links make RPCs time out, so this pins where every expiry fires.
+    produced = run_cli("chaos", "--seeds", "25", "-j", "0")
+    assert produced == (GOLDEN / "chaos_qc_2pl_2pc.txt").read_text()
+
+
+def test_chaos_flags_on_matches_golden():
+    # The same suite with co-located sites and every message-economy flag:
+    # batched gateway accesses and piggybacked votes.
+    produced = run_cli(
+        "chaos", "--seeds", "25", "-j", "0", "--sites-per-host", "2",
+        "--batch-site-ops", "--piggyback-prepare", "--latency-aware-routing",
+    )
+    assert produced == (GOLDEN / "chaos_flags_on.txt").read_text()
+
+
+def test_trace_matches_golden():
+    # Per-phase latency and the critical path of one traced session.
+    produced = run_cli("trace", "--seed", "7")
+    assert produced == (GOLDEN / "trace_seed7.txt").read_text()
+
+
+def test_trace_txn_matches_golden():
+    # One transaction's full span tree: every message, lock wait and vote
+    # with its simulated start and end.
+    produced = run_cli("trace", "--seed", "7", "--txn", "22")
+    assert produced == (GOLDEN / "trace_seed7_txn22.txt").read_text()
+
+
+def test_exp_avail_matches_golden():
+    # Availability under site failures: commits there depend on exactly
+    # when fault-driven RPC timeouts fire.
+    produced = run_cli("experiment", "avail", "--json")
+    assert produced == (GOLDEN / "exp_avail.json").read_text()

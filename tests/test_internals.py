@@ -167,22 +167,18 @@ class TestGatherSemantics:
         assert all(result.ok for result in results)
 
     def test_settle_converts_failures_to_values(self):
+        # Votes are collected with ``all_settled``: an RPC that times out
+        # becomes its exception value instead of raising in the coordinator.
         instance = quick_instance(n_items=8)
         instance.start()
         from repro.errors import RpcTimeout
-        from repro.txn.coordinator import TxnContext
 
-        txn = Transaction(ops=[Operation.read("x1")], home_site="site1")
-        ctx = TxnContext(
-            txn, instance.sites["site1"], instance.catalog,
-            instance.directory, instance.coordinator_config, None,
-        )
         event = instance.sites["site1"].endpoint.request(
             "ghost/address", "READ", {}, timeout=5
         )
 
         def run():
-            value = yield from ctx._settle(event)
+            (value,) = yield instance.sim.all_settled([event])
             return value
 
         process = instance.sim.process(run())

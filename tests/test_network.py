@@ -188,6 +188,90 @@ class TestRpc:
             a.request("h1/a", "X", timeout=0)
 
 
+
+class TestExpiryQueues:
+    """RPC expiry: one FIFO per (endpoint, timeout), only its head on the heap."""
+
+    @staticmethod
+    def _echo(network, host="h2", name="b"):
+        endpoint = network.endpoint(host, name)
+        endpoint.handler = lambda msg: endpoint.reply(msg, "PONG")
+        return endpoint
+
+    def test_timeout_fires_where_a_defer_made_at_send_time_would(self, sim, network):
+        a = network.endpoint("h1", "a")
+        self._echo(network)
+        network.endpoint("h3", "silent")
+        seen = []
+        # An answered RPC first, so the silent one's timer is armed by the
+        # head timer re-arming, not by its own request.
+        a.request("h2/b", "PING", timeout=5)
+
+        def later():
+            sim.defer(5, lambda: seen.append(("before", sim.now, rpc.triggered)))
+            rpc = a.request("h3/silent", "PING", timeout=5)
+            sim.defer(5, lambda: seen.append(("after", sim.now, rpc.triggered)))
+
+        sim.defer(1, later)
+        sim.run()
+        assert seen == [("before", 6.0, False), ("after", 6.0, True)]
+        assert network.stats.rpc_timeouts == 1
+
+    def test_answered_rpcs_leave_one_kernel_entry_per_timeout(self, sim, network):
+        a = network.endpoint("h1", "a")
+        self._echo(network)
+        events = [
+            a.request("h2/b", "PING", timeout=timeout)
+            for timeout in (25, 40)
+            for _ in range(500)
+        ]
+        sim.run(until=3)  # every request answered at t=2
+        assert all(event.ok for event in events)
+        processed = sim.processed_events
+        sim.run()
+        # One head timer per (endpoint, timeout) fires, finds its request
+        # answered, skips the 499 answered ones behind it, and stops.
+        assert sim.processed_events - processed == 2
+        assert network.stats.rpc_timeouts == 0
+
+    def test_mixed_timeouts_fire_in_deadline_order(self, sim, network):
+        a = network.endpoint("h1", "a")
+        network.endpoint("h2", "b")  # never answers
+        fired = []
+
+        def issue(timeout):
+            event = a.request("h2/b", "PING", timeout=timeout)
+            event.add_callback(lambda ev: fired.append((sim.now, type(ev.value).__name__)))
+
+        for timeout in (90, 40, 25):
+            issue(timeout)
+        sim.defer(10, lambda: [issue(t) for t in (25, 90)])
+        sim.defer(20, lambda: [issue(t) for t in (40, 25)])
+        sim.run()
+        assert fired == [
+            (deadline, "RpcTimeout") for deadline in (25.0, 35.0, 40.0, 45.0, 60.0, 90.0, 100.0)
+        ]
+        assert network.stats.rpc_timeouts == 7
+
+    def test_set_down_fails_pending_and_stale_entries_are_skipped(self, sim, network):
+        a = network.endpoint("h1", "a")
+        network.endpoint("h2", "b")  # never answers
+        first = [a.request("h2/b", "PING", timeout=10) for _ in range(2)]
+        sim.defer(2, a.set_down)
+        sim.defer(3, a.set_up)
+        later = []
+        sim.defer(4, lambda: later.append(a.request("h2/b", "PING", timeout=10)))
+        sim.run(until=2)
+        assert all(isinstance(event.value, NetworkError) for event in first)
+        sim.run()
+        # The head timer at t=10 finds both stale entries and re-arms for
+        # the request made after recovery, which expires on time.
+        (event,) = later
+        assert isinstance(event.value, RpcTimeout)
+        assert sim.now == 14.0
+        assert network.stats.rpc_timeouts == 1
+
+
 class TestFailureModes:
     def test_down_endpoint_loses_messages(self, sim, network):
         a = network.endpoint("h1", "a")

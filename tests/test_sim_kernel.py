@@ -172,6 +172,198 @@ class TestProcess:
         assert sim.now == 2.0
 
 
+
+class TestStart:
+    def test_start_finishes_inline_with_the_value(self, sim):
+        def proc():
+            return 7
+            yield  # pragma: no cover - makes this a generator
+
+        process = sim.start(proc(), name="inline")
+        assert process.processed and process.ok
+        assert process.value == 7
+        assert process.name == "inline"
+        # Nothing was scheduled: no bootstrap, no completion event.
+        assert sim.peek() == float("inf")
+        sim.run()
+        assert sim.processed_events == 0
+
+    def test_waiting_generator_becomes_an_interruptible_process(self, sim):
+        steps = []
+
+        def proc():
+            steps.append("first")
+            yield sim.timeout(5)
+            steps.append("second")  # pragma: no cover - interrupted first
+
+        process = sim.start(proc(), name="waiter")
+        assert steps == ["first"]  # ran inline, before start returned
+        assert process.is_alive
+        assert sim.peek() == 5.0  # only the timeout: no bootstrap event
+        sim.defer(2, lambda: process.interrupt("crash"))
+        sim.run()
+        assert isinstance(process.value, Interrupt)
+        assert process.value.cause == "crash"
+        assert steps == ["first"]
+
+    def test_resumes_like_a_process(self, sim):
+        def proc():
+            value = yield sim.timeout(3, "tick")
+            return value + "!"
+
+        process = sim.start(proc())
+        assert sim.run(until=process) == "tick!"
+        assert sim.now == 3.0
+
+    def test_exception_in_first_step_gives_a_failed_event(self, sim):
+        def proc():
+            raise ValueError("boom")
+            yield  # pragma: no cover - makes this a generator
+
+        process = sim.start(proc())
+        assert process.processed and not process.ok
+        assert isinstance(process.value, ValueError)
+
+    def test_yield_non_event_gives_a_failed_event(self, sim):
+        def proc():
+            yield 42
+
+        process = sim.start(proc())
+        assert not process.ok
+        assert isinstance(process.value, SimulationError)
+
+    def test_work_due_now_runs_first(self, sim):
+        # With another event due at this instant a bootstrap would run
+        # after it, so start() schedules one instead of running inline.
+        order = []
+        sim.defer(0, lambda: order.append("due"))
+
+        def proc():
+            order.append("proc")
+            return None
+            yield  # pragma: no cover - makes this a generator
+
+        process = sim.start(proc())
+        assert order == [] and process.is_alive
+        sim.run()
+        assert order == ["due", "proc"]
+        assert process.processed and process.ok
+
+    def test_requires_generator(self, sim):
+        with pytest.raises(SimulationError):
+            sim.start(lambda: None)  # type: ignore[arg-type]
+
+
+    def test_completes_in_place(self, sim):
+        finished = []
+
+        def proc():
+            yield sim.timeout(2)
+            return "done"
+
+        process = sim.start(proc())
+        process.add_callback(lambda ev: finished.append((sim.now, ev.value)))
+        sim.run()
+        assert finished == [(2.0, "done")]
+        # Only the timeout was an event: no bootstrap, no completion event.
+        assert sim.processed_events == 1
+
+    @pytest.mark.parametrize("other_due_now", [False, True])
+    def test_same_order_as_process_in_tail_position(self, other_due_now):
+        def scenario(launch):
+            sim = Simulator()
+            log = []
+
+            def child():
+                log.append(("child", sim.now))
+                grant = sim.event()
+                grant.succeed("granted")
+                value = yield grant
+                log.append(("child got", value))
+
+            def deliver():
+                launch(sim, child())  # the last thing the event does
+
+            sim.defer(1, deliver)
+            sim.defer(1 if other_due_now else 1.5, lambda: log.append(("other", sim.now)))
+            sim.run()
+            return log, sim.processed_events
+
+        started, start_events = scenario(lambda sim, gen: sim.start(gen))
+        spawned, process_events = scenario(lambda sim, gen: sim.process(gen))
+        assert started == spawned
+        # start() saves the completion event, and the bootstrap when
+        # nothing else was due at that instant.
+        assert process_events - start_events == (1 if other_due_now else 2)
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("other_due_now", [False, True])
+    def test_same_order_as_process(self, other_due_now):
+        def scenario(launch):
+            sim = Simulator()
+            log = []
+
+            def child(index):
+                log.append(("start", index, sim.now))
+                grant = sim.event()
+                grant.succeed(index)
+                grant.add_callback(lambda _ev: log.append(("grant", index)))
+                value = yield grant
+                log.append(("end", index))
+                return value * 10
+
+            def parent():
+                yield sim.timeout(1)
+                if other_due_now:
+                    sim.defer(0, lambda: log.append(("other", sim.now)))
+                children = launch(sim, [(child(i), f"child{i}") for i in range(3)])
+                results = yield sim.all_of(children)
+                log.append(("all", sorted(results.values())))
+
+            sim.process(parent())
+            sim.run()
+            return log, sim.processed_events
+
+        fanned, fan_events = scenario(lambda sim, named: sim.fan_out(named))
+        spawned, process_events = scenario(
+            lambda sim, named: [sim.process(gen, name=name) for gen, name in named]
+        )
+        assert fanned == spawned
+        assert fanned[-1] == ("all", [0, 10, 20])
+        # Only the three bootstraps are saved, and only when nothing else
+        # was due at that instant; completions still go through the heap.
+        assert process_events - fan_events == (0 if other_due_now else 3)
+
+    def test_keeps_names_and_order(self, sim):
+        def child():
+            yield sim.timeout(1)
+
+        children = sim.fan_out((child(), f"c{i}") for i in range(3))
+        assert [child.name for child in children] == ["c0", "c1", "c2"]
+        assert all(child.is_alive for child in children)
+
+class TestReservedKeys:
+    def test_defer_at_fires_where_the_defer_would_have(self, sim):
+        order = []
+        sim.defer(4, lambda: order.append("before"))
+        when, seq = sim.reserve(4)
+        sim.defer(4, lambda: order.append("after"))
+        sim.defer_at(when, seq, order.append, "reserved")
+        sim.run()
+        assert order == ["before", "reserved", "after"]
+        assert sim.now == 4.0
+
+    def test_defer_at_rejects_the_past(self, sim):
+        when, seq = sim.reserve(1)
+        sim.run(until=2)
+        with pytest.raises(SimulationError):
+            sim.defer_at(when, seq, lambda: None)
+
+    def test_reserve_rejects_negative_delay(self, sim):
+        with pytest.raises(SimulationError):
+            sim.reserve(-1)
+
 class TestInterrupt:
     def test_interrupt_during_wait(self, sim):
         def proc():
@@ -323,6 +515,28 @@ class TestConditions:
 
         assert drive(sim, proc()) == ["early", "late"]
 
+
+    def test_all_settled_mixes_success_and_failure(self, sim):
+        good, bad = sim.event(), sim.event()
+        late = sim.timeout(3, "late")
+        sim.defer(1, lambda: bad.fail(ValueError("no")))
+        sim.defer(2, lambda: good.succeed("yes"))
+
+        def proc():
+            values = yield sim.all_settled([good, bad, late])
+            return values, sim.now
+
+        (first, failure, last), finished = drive(sim, proc())
+        assert first == "yes" and last == "late"
+        assert isinstance(failure, ValueError)
+        assert finished == 3.0  # waits for every child, never fails early
+
+    def test_all_settled_empty_fires_immediately(self, sim):
+        def proc():
+            values = yield sim.all_settled([])
+            return values, sim.now
+
+        assert drive(sim, proc()) == ([], 0.0)
 
 class TestRun:
     def test_run_until_time_stops_clock_exactly(self, sim):

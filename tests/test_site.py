@@ -225,25 +225,16 @@ class TestDispatch:
         # Sent at t=0, delivered and answered at t=1 (ConstantLatency(1.0)).
         assert sent == [(mtype, 0.0), (reply_type, 1.0)]
 
-    def test_crash_interrupts_read_waiting_on_a_lock(
-        self, sim, network, site, monkeypatch
-    ):
-        spawned = []
-        spawn = sim.process
-
-        def recording_spawn(gen, name=""):
-            process = spawn(gen, name)
-            spawned.append(process)
-            return process
-
-        monkeypatch.setattr(sim, "process", recording_spawn)
+    def test_crash_interrupts_read_waiting_on_a_lock(self, sim, network, site):
         drive(sim, site.local_prewrite(1, 1.0, "x", 9))  # txn 1 holds x
         sent = []
         network.add_observer(lambda msg, _outcome: sent.append(msg.mtype))
         client = network.endpoint("hc", "client")
         client.send(site.address, MessageType.READ, {"txn": 2, "ts": 2.0, "item": "x"})
         sim.run(until=sim.now + 3)
-        (handler,) = [p for p in spawned if p.name == f"site:{site.name}:READ"]
+        # A waiting access is one of the site's processes (so a crash
+        # reaches it), still named after its message type.
+        (handler,) = [p for p in site._processes if p.name == f"site:{site.name}:READ"]
         assert handler.is_alive  # queued behind txn 1's lock
         site.crash()
         sim.run()
