@@ -3,7 +3,7 @@
 #   make test        tier-1 test suite (the CI gate)
 #   make lint        rainbow-lint over src/, benchmarks/, examples/
 #   make lint-all    rainbow-lint + ruff + mypy (skips tools not installed)
-#   make bench       kernel microbenchmark smoke run + BENCH_*.json artifacts
+#   make bench       kernel microbenchmark smoke run
 #   make perfbench   one short session of each benchmark workload, correctness-gated
 #   make chaos       chaos suite: 25 nemesis seeds, all safety invariants
 #   make trace       traced session: phase breakdown + trace.json (Perfetto)
@@ -36,7 +36,6 @@ lint-all: lint
 
 bench:
 	$(PYPATH) $(PY) -m pytest benchmarks/test_bench_kernel.py --benchmark-only -q -s
-	$(PYPATH) $(PY) -m repro bench
 
 # run.py exits 1 when a session fails its correctness gate (serializable,
 # every attempted transaction resolved).

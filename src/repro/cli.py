@@ -338,14 +338,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.monitor.bench import write_bench_files
-
-    for path in write_bench_files(args.out_dir):
-        print(f"wrote {path}")
-    return 0
-
-
 def _cmd_list(_args: argparse.Namespace) -> int:
     from repro.classroom import all_assignments
 
@@ -463,14 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for per-seed trace JSONs (default: "
                        "chaos-traces)")
     chaos.set_defaults(fn=_cmd_chaos)
-
-    bench = commands.add_parser(
-        "bench",
-        help="write BENCH_kernel.json / BENCH_session.json performance baselines",
-    )
-    bench.add_argument("--out-dir", default=".", metavar="DIR",
-                       help="directory for the JSON artifacts (default: .)")
-    bench.set_defaults(fn=_cmd_bench)
 
     listing = commands.add_parser("list", help="list experiments and assignments")
     listing.set_defaults(fn=_cmd_list)

@@ -20,7 +20,11 @@ A :class:`Site` owns:
   decision requests with presumed abort, recovery of in-doubt transactions
   from the WAL, and the simplified 3PC termination protocol;
 * a garbage sweeper that unilaterally aborts unprepared transactions whose
-  coordinator has stopped driving them (their home site crashed).
+  coordinator has stopped driving them (their home site crashed);
+* its ``observers``: the one place a site reports what it did.  Each
+  ``local_*`` operation calls them once it has taken effect (the execution
+  tracer is one); the span tracer gets each local CCP span's parent as the
+  operation's ``span`` argument.
 
 Everything above the dashed line in the paper's Figure 1 — the web tier and
 GUI — talks to sites only through messages; the coordinator for a *home*
@@ -141,17 +145,16 @@ class Site:
         self._txn_home: dict[int, str] = {}
         self._home_ctxs: dict[int, object] = {}
         self.directory: dict[str, str] = {}
+        # Observers of the local operations (``ExecutionTracer.record``):
+        # each is called as ``observer(kind, site_name, txn, item, value,
+        # version)`` once a read, pre-write, YES vote, pre-commit, commit or
+        # abort has taken effect.  They outlive crashes, like the site's name.
+        self.observers: list[Callable[..., None]] = []
         # Causal tracing (``RainbowInstance.enable_tracing``): the shared
-        # span tracer, plus the parent span id under which the next local
-        # CCP operation of a transaction should nest.  ``local_read`` and
-        # friends keep fixed signatures (``ExecutionTracer`` wraps them),
-        # so the trace context arrives through this side channel instead of
-        # a parameter; per (site, txn) at most one access runs at a time.
+        # span tracer.  Local CCP operations take the span they nest under
+        # as their ``span`` argument.
         self.tracer = None
-        self._span_ctx: dict[int, Optional[str]] = {}
-        # Request dispatch.  Entries are bound methods of the site that look
-        # ``local_*`` up at call time (``ExecutionTracer`` replaces those on
-        # the instance after construction).
+        # Request dispatch.
         self._handler_of: dict[str, Callable[[Message], None]] = {
             MessageType.READ: self._on_access,
             MessageType.PREWRITE: self._on_access,
@@ -243,7 +246,6 @@ class Site:
         self._activity.clear()
         self._home_ctxs.clear()
         self._txn_home.clear()
-        self._span_ctx.clear()
 
     def recover(self) -> None:
         """Restart from durable state; resolve in-doubt transactions."""
@@ -386,22 +388,27 @@ class Site:
         home = payload.get("home")
         if home is not None:
             target._txn_home[txn] = home
-        if target.tracer is not None:
-            target._span_ctx[txn] = span
         try:
             if write:
-                version = yield from target.local_prewrite(txn, ts, item, payload["value"])
+                version = yield from target.local_prewrite(
+                    txn, ts, item, payload["value"], span
+                )
                 entry = {"ok": True, "version": version}
             else:
-                value, version = yield from target.local_read(txn, ts, item)
+                value, version = yield from target.local_read(txn, ts, item, span)
                 entry = {"ok": True, "value": value, "version": version}
         except ConcurrencyAbort as abort:
             return {"ok": False, "kind": "ccp", "reason": str(abort)}
-        target._fold_prepare(txn, ts, prepare, entry)
+        target._fold_prepare(txn, ts, prepare, entry, span)
         return entry
 
     def _fold_prepare(
-        self, txn: int, ts: float, prepare: Optional[dict], reply: dict
+        self,
+        txn: int,
+        ts: float,
+        prepare: Optional[dict],
+        reply: dict,
+        span: Optional[str],
     ) -> None:
         """Run a piggybacked prepare and fold the vote into ``reply``.
 
@@ -420,14 +427,13 @@ class Site:
             ts,
             acp=prepare.get("acp", "2PC"),
             peers=prepare.get("peers", []),
+            span=span,
         )
         reply["vote"] = vote
         reply["vote_reason"] = reason
 
     def _on_vote_req(self, msg: Message) -> None:
         payload = msg.payload
-        if self.tracer is not None:
-            self._span_ctx[payload["txn"]] = msg.span
         vote, reason = self.local_prepare(
             payload["txn"],
             payload.get("versions", {}),
@@ -435,6 +441,7 @@ class Site:
             payload.get("ts", 0.0),
             acp=payload.get("acp", "2PC"),
             peers=payload.get("peers", []),
+            span=msg.span,
         )
         self.endpoint.reply(msg, MessageType.VOTE, {"vote": vote, "reason": reason})
 
@@ -488,36 +495,44 @@ class Site:
         self.spawn_home_transaction(_run_and_report(), name=f"txn@{self.name}")
 
     # ------------------------------------------------------------------ local ops
-    def local_read(self, txn: int, ts: float, item: str):
-        """CCP-mediated read of the local copy (generator)."""
+    def local_read(self, txn: int, ts: float, item: str, span: Optional[str] = None):
+        """CCP-mediated read of the local copy (generator).
+
+        ``span`` is the id of the span the ``ccp.read`` span nests under.
+        """
         self._touch(txn)
         self.stats.reads_served += 1
-        if self.tracer is None:
-            result = yield from self.cc.read(txn, ts, item)
-            return result
-        span = self.tracer.begin(
-            txn, self.name, "ccp.read", parent=self._span_ctx.get(txn), item=item
+        own = None if self.tracer is None else self.tracer.begin(
+            txn, self.name, "ccp.read", parent=span, item=item
         )
         try:
             result = yield from self.cc.read(txn, ts, item)
         finally:
-            self.tracer.finish(span)
+            if own is not None:
+                self.tracer.finish(own)
+        for observer in self.observers:
+            observer("read", self.name, txn, item, *result)
         return result
 
-    def local_prewrite(self, txn: int, ts: float, item: str, value: Any):
-        """CCP-mediated pre-write of the local copy (generator)."""
+    def local_prewrite(
+        self, txn: int, ts: float, item: str, value: Any, span: Optional[str] = None
+    ):
+        """CCP-mediated pre-write of the local copy (generator).
+
+        ``span`` is the id of the span the ``ccp.prewrite`` span nests under.
+        """
         self._touch(txn)
         self.stats.prewrites_served += 1
-        if self.tracer is None:
-            version = yield from self.cc.prewrite(txn, ts, item, value)
-            return version
-        span = self.tracer.begin(
-            txn, self.name, "ccp.prewrite", parent=self._span_ctx.get(txn), item=item
+        own = None if self.tracer is None else self.tracer.begin(
+            txn, self.name, "ccp.prewrite", parent=span, item=item
         )
         try:
             version = yield from self.cc.prewrite(txn, ts, item, value)
         finally:
-            self.tracer.finish(span)
+            if own is not None:
+                self.tracer.finish(own)
+        for observer in self.observers:
+            observer("prewrite", self.name, txn, item, value, version)
         return version
 
     def local_prepare(
@@ -528,11 +543,13 @@ class Site:
         ts: float,
         acp: str = "2PC",
         peers: Optional[list[str]] = None,
+        span: Optional[str] = None,
     ) -> tuple[bool, str]:
         """Participant prepare: force the PREPARE record and vote.
 
         Returns ``(vote, reason)``.  A NO vote locally aborts right away
-        (the coordinator will abort globally anyway).
+        (the coordinator will abort globally anyway).  ``span`` is the id of
+        the span the ``ccp.prepare`` span nests under.
         """
         vote, reason = self._prepare_vote(txn, versions, coordinator, ts, acp, peers)
         if self.tracer is not None:
@@ -543,9 +560,12 @@ class Site:
                 "ccp.prepare",
                 start=now,
                 end=now,
-                parent=self._span_ctx.get(txn),
+                parent=span,
                 vote=vote,
             )
+        if vote:
+            for observer in self.observers:
+                observer("prepare", self.name, txn, None, None, None)
         return vote, reason
 
     def _prepare_vote(
@@ -591,32 +611,35 @@ class Site:
     def local_precommit(self, txn: int) -> None:
         """3PC pre-commit: durable, moves the participant out of uncertainty."""
         state = self._prepared.get(txn)
-        if state is None:
-            return
-        self.wal.log_precommit(txn, self.sim.now)
-        state.precommitted = True
+        if state is not None:
+            self.wal.log_precommit(txn, self.sim.now)
+            state.precommitted = True
+        for observer in self.observers:
+            observer("precommit", self.name, txn, None, None, None)
 
     def local_commit(self, txn: int) -> None:
         """Apply the global COMMIT decision at this participant."""
         state = self._prepared.pop(txn, None)
-        if state is None and self.wal.decision_for(txn) == "COMMIT":
-            return  # duplicate decision (retry); already applied
-        if state is not None:
-            # Tag the record as a participant's copy of the decision so
-            # checkpointing knows how long it must survive (see
-            # WriteAheadLog.checkpoint).
-            self.wal.log_commit(
-                txn, self.sim.now, coordinator=state.coordinator, acp=state.acp
-            )
-        else:
-            self.wal.log_commit(txn, self.sim.now)
-        versions = state.versions if state is not None else {}
-        self.cc.commit(txn, versions)
-        self._activity.pop(txn, None)
-        self._span_ctx.pop(txn, None)
-        self.stats.commits_applied += 1
-        if state is not None and state.resolving:
-            self.stats.orphans_resolved += 1
+        # A retried decision finds nothing prepared and COMMIT logged: it was
+        # applied already, and is only reported again.
+        if state is not None or self.wal.decision_for(txn) != "COMMIT":
+            if state is not None:
+                # Tag the record as a participant's copy of the decision so
+                # checkpointing knows how long it must survive (see
+                # WriteAheadLog.checkpoint).
+                self.wal.log_commit(
+                    txn, self.sim.now, coordinator=state.coordinator, acp=state.acp
+                )
+            else:
+                self.wal.log_commit(txn, self.sim.now)
+            versions = state.versions if state is not None else {}
+            self.cc.commit(txn, versions)
+            self._activity.pop(txn, None)
+            self.stats.commits_applied += 1
+            if state is not None and state.resolving:
+                self.stats.orphans_resolved += 1
+        for observer in self.observers:
+            observer("commit", self.name, txn, None, None, None)
 
     def local_abort(self, txn: int) -> None:
         """Apply the global ABORT decision (idempotent, presumed abort)."""
@@ -625,10 +648,11 @@ class Site:
             self.wal.log_abort(txn, self.sim.now)
         self.cc.abort(txn)
         self._activity.pop(txn, None)
-        self._span_ctx.pop(txn, None)
         self.stats.aborts_applied += 1
         if state is not None and state.resolving:
             self.stats.orphans_resolved += 1
+        for observer in self.observers:
+            observer("abort", self.name, txn, None, None, None)
 
     def decision_of(self, txn: int, presume_abort: bool = False) -> str:
         """Answer a DECISION_REQ about ``txn`` from durable + volatile state.

@@ -177,11 +177,6 @@ class TxnContext:
         active = self.current_span or self.root_span
         return None if active is None else active.span_id
 
-    def _home_span_ctx(self) -> None:
-        """Hand the active span to the home site before a direct local call."""
-        if self.tracer is not None:
-            self.home._span_ctx[self.txn.txn_id] = self.trace_context()
-
     @property
     def blocked_site(self) -> Optional[str]:
         """A site where the transaction is currently waiting (or None)."""
@@ -275,13 +270,17 @@ class TxnContext:
         txn_id, ts = self.txn.txn_id, self.txn.ts
         if site == self.home.name:
             self._block_enter(site)
-            self._home_span_ctx()
+            span = self.trace_context()
             try:
                 if write:
                     read_value = None
-                    version = yield from self.home.local_prewrite(txn_id, ts, item, value)
+                    version = yield from self.home.local_prewrite(
+                        txn_id, ts, item, value, span
+                    )
                 else:
-                    read_value, version = yield from self.home.local_read(txn_id, ts, item)
+                    read_value, version = yield from self.home.local_read(
+                        txn_id, ts, item, span
+                    )
             except TransactionAborted as abort:
                 return AccessResult(False, site, kind="ccp", reason=str(abort))
             finally:
@@ -542,81 +541,77 @@ class TxnContext:
         """
         span = self.begin_span("acp.vote", acp=acp_name)
         try:
-            result = yield from self._collect_votes(acp_name)
+            peers = self.participant_addresses()
+            remote = []
+            all_yes = True
+            detail = []
+            for participant in sorted(self.participants.values(), key=lambda p: p.site):
+                if participant.site == self.home.name:
+                    vote, reason = self.home.local_prepare(
+                        self.txn.txn_id,
+                        participant.versions,
+                        self.home.address,
+                        self.txn.ts,
+                        acp=acp_name,
+                        peers=peers,
+                        span=self.trace_context(),
+                    )
+                    if not vote:
+                        all_yes = False
+                        detail.append(f"{participant.site}: {reason}")
+                elif participant.site in self._pending_votes:
+                    # The vote rode back on the final access reply (piggybacked
+                    # prepare): the whole VOTE_REQ round trip is saved for this
+                    # participant.
+                    vote, reason = self._pending_votes[participant.site]
+                    if self.monitor is not None:
+                        self.monitor.note_round_trips_saved(1)
+                    if not vote:
+                        all_yes = False
+                        detail.append(f"{participant.site}: {reason or 'NO'}")
+                else:
+                    remote.append(participant)
+
+            if remote:
+                events = [
+                    self.home.endpoint.request(
+                        participant.address,
+                        MessageType.VOTE_REQ,
+                        {
+                            "txn": self.txn.txn_id,
+                            "ts": self.txn.ts,
+                            "versions": participant.versions,
+                            "coordinator": self.home.address,
+                            "acp": acp_name,
+                            "peers": peers,
+                        },
+                        timeout=self.config.vote_timeout,
+                        txn_id=self.txn.txn_id,
+                        span=self.trace_context(),
+                    )
+                    for participant in remote
+                ]
+                results = yield self.sim.all_settled(events)
+                for participant, event, result in zip(remote, events, results):
+                    if not event.ok:
+                        if not isinstance(result, (RpcTimeout, NetworkError)):
+                            raise result
+                        all_yes = False
+                        detail.append(f"{participant.site}: no vote ({result})")
+                        continue
+                    payload = result.payload or {}
+                    if not payload.get("vote"):
+                        all_yes = False
+                        detail.append(f"{participant.site}: {payload.get('reason', 'NO')}")
+            if all_yes and self.config.hit_failpoint("after_votes"):
+                # Crash before the decision is logged: participants that voted
+                # YES are left uncertain and the decision is *presumed abort*
+                # once the coordinator recovers.
+                self.home.crash()
+                raise Interrupt("failpoint: after_votes")
+            return all_yes, "; ".join(detail)
         finally:
             self.end_span(span)
-        return result
-
-    def _collect_votes(self, acp_name: str):
-        peers = self.participant_addresses()
-        remote = []
-        all_yes = True
-        detail = []
-        for participant in sorted(self.participants.values(), key=lambda p: p.site):
-            if participant.site == self.home.name:
-                self._home_span_ctx()
-                vote, reason = self.home.local_prepare(
-                    self.txn.txn_id,
-                    participant.versions,
-                    self.home.address,
-                    self.txn.ts,
-                    acp=acp_name,
-                    peers=peers,
-                )
-                if not vote:
-                    all_yes = False
-                    detail.append(f"{participant.site}: {reason}")
-            elif participant.site in self._pending_votes:
-                # The vote rode back on the final access reply (piggybacked
-                # prepare): the whole VOTE_REQ round trip is saved for this
-                # participant.
-                vote, reason = self._pending_votes[participant.site]
-                if self.monitor is not None:
-                    self.monitor.note_round_trips_saved(1)
-                if not vote:
-                    all_yes = False
-                    detail.append(f"{participant.site}: {reason or 'NO'}")
-            else:
-                remote.append(participant)
-
-        if remote:
-            events = [
-                self.home.endpoint.request(
-                    participant.address,
-                    MessageType.VOTE_REQ,
-                    {
-                        "txn": self.txn.txn_id,
-                        "ts": self.txn.ts,
-                        "versions": participant.versions,
-                        "coordinator": self.home.address,
-                        "acp": acp_name,
-                        "peers": peers,
-                    },
-                    timeout=self.config.vote_timeout,
-                    txn_id=self.txn.txn_id,
-                    span=self.trace_context(),
-                )
-                for participant in remote
-            ]
-            results = yield self.sim.all_settled(events)
-            for participant, event, result in zip(remote, events, results):
-                if not event.ok:
-                    if not isinstance(result, (RpcTimeout, NetworkError)):
-                        raise result
-                    all_yes = False
-                    detail.append(f"{participant.site}: no vote ({result})")
-                    continue
-                payload = result.payload or {}
-                if not payload.get("vote"):
-                    all_yes = False
-                    detail.append(f"{participant.site}: {payload.get('reason', 'NO')}")
-        if all_yes and self.config.hit_failpoint("after_votes"):
-            # Crash before the decision is logged: participants that voted
-            # YES are left uncertain and the decision is *presumed abort*
-            # once the coordinator recovers.
-            self.home.crash()
-            raise Interrupt("failpoint: after_votes")
-        return all_yes, "; ".join(detail)
 
     def broadcast(self, mtype: str, *, retries: Optional[int] = None):
         """Send a decision/phase message to every participant, with retries.
@@ -629,32 +624,28 @@ class TxnContext:
         name = "acp.precommit" if mtype == MessageType.PRECOMMIT else "acp.decision"
         span = self.begin_span(name, decision=mtype)
         try:
-            result = yield from self._broadcast(mtype, retries=retries)
+            attempts = self.config.ack_retries if retries is None else retries
+            acked = 0
+            remote = []
+            for participant in sorted(self.participants.values(), key=lambda p: p.site):
+                if participant.site == self.home.name:
+                    self._local_decision(mtype)
+                    acked += 1
+                else:
+                    remote.append(participant)
+
+            results = yield from self._gather(
+                self._broadcast_one(participant, mtype, attempts) for participant in remote
+            )
+            acked += sum(1 for ok in results if ok)
+            if mtype == MessageType.PRECOMMIT and self.config.hit_failpoint("after_precommit"):
+                # Crash between PRECOMMIT and COMMIT: under 3PC the termination
+                # protocol lets the precommitted participants commit without us.
+                self.home.crash()
+                raise Interrupt("failpoint: after_precommit")
+            return acked
         finally:
             self.end_span(span)
-        return result
-
-    def _broadcast(self, mtype: str, *, retries: Optional[int] = None):
-        attempts = self.config.ack_retries if retries is None else retries
-        acked = 0
-        remote = []
-        for participant in sorted(self.participants.values(), key=lambda p: p.site):
-            if participant.site == self.home.name:
-                self._local_decision(mtype)
-                acked += 1
-            else:
-                remote.append(participant)
-
-        results = yield from self._gather(
-            self._broadcast_one(participant, mtype, attempts) for participant in remote
-        )
-        acked += sum(1 for ok in results if ok)
-        if mtype == MessageType.PRECOMMIT and self.config.hit_failpoint("after_precommit"):
-            # Crash between PRECOMMIT and COMMIT: under 3PC the termination
-            # protocol lets the precommitted participants commit without us.
-            self.home.crash()
-            raise Interrupt("failpoint: after_precommit")
-        return acked
 
     def _local_decision(self, mtype: str) -> None:
         if mtype == MessageType.COMMIT:

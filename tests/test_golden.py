@@ -1,8 +1,8 @@
 """Golden outputs: seeded tables, chaos reports and traces that must not change by accident.
 
-Each golden file is the exact output of a CLI command run in a fresh
-interpreter (transaction ids, and so timestamp tie-breaks, are
-process-global).  Regenerate a fixture only for an intended behaviour
+Each golden file is the exact output of a CLI command, or of
+``tests/event_stream.py``, run in a fresh interpreter (transaction ids, and
+so timestamp tie-breaks, are process-global).  Regenerate a fixture only for an intended behaviour
 change, and say so in the change log::
 
     PYTHONPATH=src python -m repro experiment abl --json > tests/fixtures/golden/exp_abl.json
@@ -81,3 +81,26 @@ def test_exp_avail_matches_golden():
     # when fault-driven RPC timeouts fire.
     produced = run_cli("experiment", "avail", "--json")
     assert produced == (GOLDEN / "exp_avail.json").read_text()
+
+
+def run_event_stream(case: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, str(Path(__file__).parent / "event_stream.py"), case],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return done.stdout
+
+
+def test_event_stream_crashes_matches_golden():
+    # Every local read, pre-write, prepare, pre-commit, commit and abort the
+    # sites report, and every span, on QC/2PL/2PC with two site crashes.
+    produced = run_event_stream("qc-2pl-crashes")
+    assert produced == (GOLDEN / "events_qc_2pl_crashes.txt").read_text()
+
+
+def test_event_stream_flags_on_matches_golden():
+    # The same stream on QC/MVTO/2PC with co-located sites and every
+    # message-economy flag: batched accesses and piggybacked prepares.
+    produced = run_event_stream("qc-mvto-flags")
+    assert produced == (GOLDEN / "events_qc_mvto_flags.txt").read_text()

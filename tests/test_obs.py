@@ -71,6 +71,42 @@ class TestSpanModel:
         assert msg.reply(MessageType.READ_REPLY, {}).span == "t1:site1:3"
 
 
+class TestSpanNesting:
+    """Local CCP spans nest under the span of the request that caused them."""
+
+    def test_batched_and_piggybacked_spans_have_their_parents(self):
+        # Four sites per host: one BATCH_ACCESS serves several co-located
+        # copies, and piggybacked prepares ride on the final access.
+        instance = build_instance(
+            8, 40, 3, seed=7, sites_per_host=4, latency="lanwan",
+            batch_site_ops=True, piggyback_prepare=True,
+            latency_aware_routing=True, tracing=True,
+        )
+        instance.run_workload(
+            WorkloadSpec(
+                n_transactions=60, arrival="poisson", arrival_rate=0.3,
+                min_ops=3, max_ops=5, read_fraction=0.6,
+            )
+        )
+        tracer = instance.span_tracer
+        allowed = {
+            "ccp.read": {"rcp.wave"},
+            "ccp.prewrite": {"rcp.wave"},
+            "ccp.prepare": {"acp.vote", "rcp.wave"},
+        }
+        seen = {name: set() for name in allowed}
+        for span in tracer.spans:
+            if span.name not in allowed:
+                continue
+            parent = tracer.get(span.parent_id) if span.parent_id else None
+            assert parent is not None, f"{span.span_id} has no parent span"
+            assert parent.name in allowed[span.name], (span.span_id, parent.name)
+            assert parent.txn_id == span.txn_id
+            seen[span.name].add(parent.name)
+        # Both prepare paths ran: explicit vote rounds and piggybacked votes.
+        assert seen == allowed
+
+
 class TestPhaseAccounting:
     def test_breakdown_sums_to_response_time(self, session):
         instance, _result = session

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.errors import ConcurrencyAbort
 from repro.monitor.tracing import ExecutionTracer, TraceEvent, format_history
+from repro.site.site import Site
 from repro.txn.transaction import Operation, Transaction
-from tests.conftest import quick_instance
+from tests.conftest import drive, quick_instance
 
 
 class TestNotation:
@@ -88,7 +90,8 @@ class TestTracerWithInstance:
 
     def test_attach_idempotent(self):
         instance, tracer = self._traced_instance()
-        tracer.attach(instance.sites["site1"])  # second attach: no double wrap
+        tracer.attach(instance.sites["site1"])  # second attach: no double record
+        assert instance.sites["site1"].observers == [tracer.record]
         txn = Transaction(ops=[Operation.read("x1")], home_site="site1")
         process = instance.submit(txn)
         instance.sim.run(until=process)
@@ -108,3 +111,73 @@ class TestTracerWithInstance:
         counts = tracer.operation_counts()
         assert counts["prewrite"] >= 1
         assert counts["commit"] >= 1
+
+
+class TestRecordingRules:
+    """What a site reports to its observers, operation by operation."""
+
+    @pytest.fixture
+    def traced_site(self, sim, network):
+        site = Site(sim, network, "s1", "h1", gc_interval=0, uncertainty_timeout=None)
+        site.store.create_copy("x", initial_value=0)
+        tracer = ExecutionTracer(sim)
+        tracer.attach(site)
+        return site, tracer
+
+    @staticmethod
+    def kinds(tracer):
+        return [event.kind for event in tracer.events]
+
+    def test_each_operation_is_recorded_once_it_took_effect(self, sim, traced_site):
+        site, tracer = traced_site
+        assert drive(sim, site.local_read(1, 1.0, "x")) == (0, 0)
+        version = drive(sim, site.local_prewrite(1, 1.0, "x", 9))
+        site.local_prepare(1, {"x": version}, None, 1.0)
+        site.local_precommit(1)
+        site.local_commit(1)
+        assert self.kinds(tracer) == ["read", "prewrite", "prepare", "precommit", "commit"]
+        read, prewrite = tracer.events[:2]
+        assert (read.site, read.txn_id, read.item, read.value, read.version) == (
+            "s1", 1, "x", 0, 0
+        )
+        assert (prewrite.item, prewrite.value, prewrite.version) == ("x", 9, version)
+
+    def test_duplicate_commit_is_recorded_again(self, sim, traced_site):
+        site, tracer = traced_site
+        drive(sim, site.local_prewrite(1, 1.0, "x", 9))
+        site.local_prepare(1, {"x": 1}, None, 1.0)
+        site.local_commit(1)
+        site.local_commit(1)  # a retried decision: applied once, seen twice
+        assert self.kinds(tracer).count("commit") == 2
+        assert site.stats.commits_applied == 1
+
+    def test_precommit_of_unknown_txn_is_recorded(self, traced_site):
+        site, tracer = traced_site
+        site.local_precommit(42)
+        assert self.kinds(tracer) == ["precommit"]
+        assert site.wal.records == []
+
+    def test_no_vote_records_nothing(self, traced_site):
+        site, tracer = traced_site
+        vote, _reason = site.local_prepare(1, {"x": 1}, None, 1.0)  # nothing buffered
+        assert vote is False
+        assert tracer.events == []
+
+    def test_read_that_aborts_records_nothing(self, sim, network):
+        site = Site(sim, network, "s1", "h1", ccp="TSO", gc_interval=0,
+                    uncertainty_timeout=None)
+        site.store.create_copy("x", initial_value=0)
+        tracer = ExecutionTracer(sim)
+        tracer.attach(site)
+        site.cc.doom(1)
+        with pytest.raises(ConcurrencyAbort):
+            drive(sim, site.local_read(1, 1.0, "x"))
+        assert tracer.events == []
+
+    def test_observers_survive_crash_and_recovery(self, sim, traced_site):
+        site, tracer = traced_site
+        site.crash()
+        site.recover()
+        drive(sim, site.local_read(1, 1.0, "x"))
+        site.local_abort(1)
+        assert self.kinds(tracer) == ["read", "abort"]
