@@ -226,14 +226,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 print(f"  {span.name:<14} @{span.site:<8} self {self_time:.3f}")
 
     if args.out:
-        from repro.monitor.export import trace_to_chrome_json
+        from pathlib import Path
 
-        trace_to_chrome_json(tracer.spans, args.out)
+        Path(args.out).write_text(obs.spans_to_chrome_json(tracer))
         print(f"wrote {args.out}", file=sys.stderr)
     if args.csv:
-        from repro.monitor.export import trace_to_csv
-
-        trace_to_csv(tracer.spans, args.csv)
+        obs.spans_to_csv(tracer, args.csv)
         print(f"wrote {args.csv}", file=sys.stderr)
     return 0
 

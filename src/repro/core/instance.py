@@ -39,8 +39,6 @@ from repro.workload.spec import WorkloadSpec
 
 __all__ = ["SessionResult", "RainbowInstance"]
 
-_wlg_counter = itertools.count(1)
-
 
 @dataclass
 class SessionResult:
@@ -144,6 +142,11 @@ class RainbowInstance:
         )
         self._started = False
         self._session_counter = itertools.count(1)
+        self._manual_counter = itertools.count(1)
+        #: The one txn id space of this instance: every workload, restart
+        #: and direct submission takes its ids from here, so ids are unique
+        #: across the instance's sessions and start at 1 for each instance.
+        self.txn_ids = itertools.count(1)
         self.span_tracer = None
         # ``repro experiment --trace``: sweeps build their instances deep
         # inside experiment modules, so a process-global flag tells every
@@ -251,6 +254,7 @@ class RainbowInstance:
             self.streams.get(f"workload-{session}"),
             monitor=self.monitor,
             name=f"wlg{session}",
+            txn_ids=self.txn_ids,
         )
         process = generator.run()
         self.sim.run(until=process)
@@ -265,7 +269,8 @@ class RainbowInstance:
             self.network,
             self.directory,
             monitor=self.monitor,
-            name=f"wlg-manual{next(_wlg_counter)}",
+            name=f"wlg-manual{next(self._manual_counter)}",
+            txn_ids=self.txn_ids,
         )
 
     def run_manual(self, manual: ManualWorkload) -> SessionResult:
@@ -279,13 +284,14 @@ class RainbowInstance:
         """Directly start ``txn`` at its home site (library/testing path).
 
         Bypasses the WLG messages; the returned process ends with the
-        transaction's coordinator.
+        transaction's coordinator.  A ``txn`` without an id is numbered here.
         """
         self.start()
         try:
             site = self.sites[txn.home_site]
         except KeyError:
             raise ConfigurationError(f"unknown home site {txn.home_site!r}") from None
+        txn.number(self.txn_ids)
         self.monitor.txn_submitted(txn)
         return site.spawn_home_transaction(
             self._coordinate(site, txn), name=f"txn{txn.txn_id}@{site.name}"

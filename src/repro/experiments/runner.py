@@ -13,9 +13,11 @@ is the one fan-out primitive they all share:
   processes.
 
 Determinism contract: a trial's result depends only on its own arguments
-(experiments seed every stream explicitly), and results are returned in
-submission order, so a given trial list produces the identical result list
-— and therefore byte-identical experiment tables — for every ``n_jobs``.
+(experiments seed every stream explicitly, and every id a session uses
+comes from its own instance, never from what ran earlier in the process),
+and results are returned in submission order, so a given trial list
+produces the identical result list — and therefore byte-identical
+experiment tables — for every ``n_jobs``.
 
 Robustness: workers are spawned (no inherited fork state, so the same code
 path runs on every platform), and any trial whose worker dies or whose

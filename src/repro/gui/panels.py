@@ -135,15 +135,18 @@ def render_replication_panel(catalog: Catalog) -> str:
 def render_manual_workload_panel(
     txns: list[Transaction], outcomes: Optional[dict[int, str]] = None
 ) -> str:
-    """Figure A-2: the Manual Workload Generation panel."""
+    """Figure A-2: the Manual Workload Generation panel.
+
+    A composed transaction has no id until it is submitted; it shows as
+    ``new``.
+    """
     outcomes = outcomes or {}
     headers = ["txn", "home site", "operations", "outcome"]
     rows = []
     for txn in txns:
         ops = " ".join(str(op) for op in txn.ops)
-        rows.append(
-            [f"T{txn.txn_id}", txn.home_site, ops, outcomes.get(txn.txn_id, "-")]
-        )
+        label = "new" if txn.txn_id is None else f"T{txn.txn_id}"
+        rows.append([label, txn.home_site, ops, outcomes.get(txn.txn_id, "-")])
     lines = render_table(headers, rows)
     lines += ["", "[ Add Operation ]  [ New Transaction ]  [ Submit All ]"]
     return render_box("Manual Workload Generation", lines, width=100)

@@ -6,8 +6,6 @@ from repro.monitor.export import (
     table_to_csv,
     table_to_json,
     timeseries_to_csv,
-    trace_to_chrome_json,
-    trace_to_csv,
 )
 from repro.monitor.report import session_report
 from repro.monitor.stats import OutputStatistics, ProgressMonitor, TxnRecord
@@ -26,6 +24,4 @@ __all__ = [
     "table_to_csv",
     "table_to_json",
     "timeseries_to_csv",
-    "trace_to_chrome_json",
-    "trace_to_csv",
 ]

@@ -25,8 +25,6 @@ __all__ = [
     "statistics_to_json",
     "network_stats_to_json",
     "timeseries_to_csv",
-    "trace_to_chrome_json",
-    "trace_to_csv",
     "write_text",
 ]
 
@@ -97,30 +95,6 @@ def timeseries_to_csv(
             [series[key][index] if index < len(series[key]) else "" for key in keys]
         )
     text = buffer.getvalue()
-    if path is not None:
-        Path(path).write_text(text)
-    return text
-
-
-def trace_to_chrome_json(tracer, path: Optional[str | Path] = None) -> str:
-    """Serialise a span trace to Chrome trace-event JSON (Perfetto).
-
-    ``tracer`` is a :class:`repro.obs.SpanTracer` (or a span list); see
-    docs/OBSERVABILITY.md for how to load the result in Perfetto.
-    """
-    from repro.obs.export import spans_to_chrome_json
-
-    text = spans_to_chrome_json(tracer)
-    if path is not None:
-        Path(path).write_text(text)
-    return text
-
-
-def trace_to_csv(tracer, path: Optional[str | Path] = None) -> str:
-    """Serialise a span trace to a flat per-span CSV."""
-    from repro.obs.export import spans_to_csv
-
-    text = spans_to_csv(tracer)
     if path is not None:
         Path(path).write_text(text)
     return text

@@ -10,13 +10,10 @@ requests and count round trips.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 __all__ = ["Message", "MessageType"]
-
-_message_ids = itertools.count(1)
 
 
 class MessageType:
@@ -98,7 +95,8 @@ class Message:
     reply_to: Optional[int] = None
     txn_id: Optional[int] = None
     size: int = 1
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    #: 0 until :meth:`Network.send` numbers it from that network's counter.
+    msg_id: int = 0
     sent_at: float = 0.0
     # Causal trace context: the sender's active span id, so the network and
     # the receiving site can parent their spans under the coordinator's.

@@ -241,10 +241,9 @@ class Endpoint:
 class Network:
     """Simulated message-passing network with latency, partitions and loss."""
 
-    #: Counter decorrelating the default RNGs of networks built without an
-    #: explicit ``rng``/``seed``: every instantiation draws a fresh seed, so
-    #: two networks in one process never share loss/latency decisions.
-    _default_seed_counter = itertools.count()
+    #: Seed of the network's own RNG when neither ``rng`` nor ``seed`` is
+    #: given (only tests build such networks).
+    DEFAULT_SEED = 0x52414E42
 
     def __init__(
         self,
@@ -269,12 +268,7 @@ class Network:
         self.sim = sim
         self.latency = latency or ConstantLatency(1.0)
         if rng is None:
-            # No caller-supplied stream: derive a per-instance seed instead
-            # of the old shared ``Random(0)`` fallback, which silently
-            # correlated the loss decisions of every network in a process.
-            if seed is None:
-                seed = 0x52414E42 + next(Network._default_seed_counter)
-            rng = random.Random(seed)
+            rng = random.Random(self.DEFAULT_SEED if seed is None else seed)
         self.rng = rng
         self.loss_rate = loss_rate
         self.duplication_rate = duplication_rate
@@ -292,6 +286,7 @@ class Network:
         #: network-wide rates for messages crossing that link.
         self._flaky_links: dict[frozenset[str], tuple[float, float]] = {}
         self._observers: list[Callable[[Message, str], None]] = []
+        self._msg_ids = itertools.count(1)
         #: Span tracer (``repro.obs.SpanTracer``) set by
         #: ``RainbowInstance.enable_tracing``; None keeps sends hook-free.
         self.tracer = None
@@ -404,10 +399,11 @@ class Network:
 
     # -- transmission -----------------------------------------------------------
     def send(self, msg: Message) -> None:
-        """Submit a message for (possibly unsuccessful) delivery."""
+        """Number ``msg`` and submit it for (possibly unsuccessful) delivery."""
         sim = self.sim
         stats = self.stats
         endpoints = self._endpoints
+        msg.msg_id = next(self._msg_ids)
         msg.sent_at = sim._now
         stats.sent += 1
         stats.by_type[msg.mtype] += 1

@@ -25,7 +25,6 @@ from repro.obs.analyze import (
     txn_phase_breakdown,
 )
 from repro.obs.export import (
-    normalize_spans,
     spans_to_chrome_json,
     spans_to_csv,
     tracers_to_chrome_json,
@@ -41,7 +40,6 @@ __all__ = [
     "txn_phase_breakdown",
     "critical_path",
     "render_span_tree",
-    "normalize_spans",
     "spans_to_chrome_json",
     "spans_to_csv",
     "tracers_to_chrome_json",

@@ -1,12 +1,9 @@
 """Trace exporters: Chrome trace-event JSON (Perfetto) and flat CSV.
 
-Both exporters *normalize* ids by default: transaction ids are remapped
-to a dense ``1..n`` by order of first appearance, and span ids are
-rewritten accordingly (``t{txn}:{site}:{seq}`` keeps its site and
-sequence parts).  Raw transaction ids come from a process-global counter
-— normalizing makes the exported bytes a pure function of the session's
-seed, independent of what else ran earlier in the process or of which
-worker executed the session under ``-j N``.
+Spans are exported with their own ids.  Transaction ids come from the
+counter of the instance that ran the session, so the exported bytes are
+a function of the session's seed alone, whatever else ran earlier in the
+process and whichever worker ran the session under ``-j N``.
 
 The Chrome output is a JSON object with a ``traceEvents`` list of
 complete (``ph: "X"``) events, loadable in Perfetto or
@@ -25,7 +22,6 @@ from repro.obs.analyze import phase_of
 from repro.obs.spans import Span, SpanTracer
 
 __all__ = [
-    "normalize_spans",
     "spans_to_chrome_json",
     "spans_to_csv",
     "tracers_to_chrome_json",
@@ -41,34 +37,6 @@ def _span_list(spans: SpansLike) -> list[Span]:
     if isinstance(spans, SpanTracer):
         return list(spans.spans)
     return list(spans)
-
-
-def normalize_spans(spans: SpansLike) -> list[Span]:
-    """Copy spans with txn ids densely renumbered by first appearance."""
-    originals = _span_list(spans)
-    txn_map: dict[int, int] = {}
-    for span in originals:
-        if span.txn_id not in txn_map:
-            txn_map[span.txn_id] = len(txn_map) + 1
-    id_map: dict[str, str] = {}
-    for span in originals:
-        _, _, tail = span.span_id.partition(":")
-        id_map[span.span_id] = f"t{txn_map[span.txn_id]}:{tail}"
-    normalized = []
-    for span in originals:
-        normalized.append(
-            Span(
-                span_id=id_map[span.span_id],
-                parent_id=id_map.get(span.parent_id or "", span.parent_id),
-                txn_id=txn_map[span.txn_id],
-                name=span.name,
-                site=span.site,
-                start=span.start,
-                end=span.end,
-                attrs=dict(span.attrs),
-            )
-        )
-    return normalized
 
 
 def _chrome_events(spans: Iterable[Span], pid: int) -> list[dict]:
@@ -96,20 +64,15 @@ def _chrome_events(spans: Iterable[Span], pid: int) -> list[dict]:
     return events
 
 
-def spans_to_chrome_json(
-    spans: SpansLike, *, normalize: bool = True, label: str = "rainbow"
-) -> str:
+def spans_to_chrome_json(spans: SpansLike, *, label: str = "rainbow") -> str:
     """Chrome trace-event JSON for one session's spans."""
-    return tracers_to_chrome_json([(label, spans)], normalize=normalize)
+    return tracers_to_chrome_json([(label, spans)])
 
 
-def tracers_to_chrome_json(
-    labeled: Sequence[tuple[str, SpansLike]], *, normalize: bool = True
-) -> str:
+def tracers_to_chrome_json(labeled: Sequence[tuple[str, SpansLike]]) -> str:
     """Chrome trace-event JSON for several sessions (one pid each)."""
     events: list[dict] = []
     for pid, (label, spans) in enumerate(labeled, start=1):
-        span_list = normalize_spans(spans) if normalize else _span_list(spans)
         events.append(
             {
                 "name": "process_name",
@@ -118,7 +81,7 @@ def tracers_to_chrome_json(
                 "args": {"name": label},
             }
         )
-        events.extend(_chrome_events(span_list, pid))
+        events.extend(_chrome_events(_span_list(spans), pid))
     return json.dumps(
         {"displayTimeUnit": "ms", "traceEvents": events},
         sort_keys=True,
@@ -126,11 +89,8 @@ def tracers_to_chrome_json(
     )
 
 
-def spans_to_csv(
-    spans: SpansLike, path: Optional[str] = None, *, normalize: bool = True
-) -> str:
+def spans_to_csv(spans: SpansLike, path: Optional[str] = None) -> str:
     """Flat per-span CSV (one row per span, attrs as sorted JSON)."""
-    span_list = normalize_spans(spans) if normalize else _span_list(spans)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(
@@ -147,7 +107,7 @@ def spans_to_csv(
             "attrs",
         ]
     )
-    for span in span_list:
+    for span in _span_list(spans):
         writer.writerow(
             [
                 span.txn_id,

@@ -17,52 +17,26 @@ the protocol behaves correctly.
 
 from __future__ import annotations
 
-from typing import Any, Generator
-
-from repro.errors import ConcurrencyAbort, ReplicationAbort
-from repro.protocols.base import ReplicationController
+from repro.errors import ReplicationAbort
+from repro.protocols.rcp.rowa import RowaController
 
 __all__ = ["AvailableCopiesController"]
 
 
-class AvailableCopiesController(ReplicationController):
-    """Read one copy, write all *available* copies."""
+class AvailableCopiesController(RowaController):
+    """Read one copy, write all *available* copies.
+
+    Reads and the write wave are ROWA's; only what an unreachable copy
+    means differs.
+    """
 
     name = "ROWAA"
 
-    def do_read(self, ctx, item: str) -> Generator:
-        spec = ctx.item_spec(item)
-        failures = []
-        for site in ctx.order_local_first(spec.sites):
-            result = yield from ctx.access_read(site, item)
-            if result.ok:
-                ctx.note_read(item, result.version)
-                return result.value
-            if result.kind == "ccp":
-                raise ConcurrencyAbort(f"read {item!r} at {site}: {result.reason}")
-            failures.append(f"{site}: {result.reason}")
-        raise ReplicationAbort(f"no copy of {item!r} reachable ({'; '.join(failures)})")
-
-    def do_write(self, ctx, item: str, value: Any) -> Generator:
-        spec = ctx.item_spec(item)
-        sites = ctx.order_local_first(spec.sites)
-        wave_span = ctx.begin_span("rcp.wave", sites=",".join(sites))
-        try:
-            results = yield from ctx.access_prewrite_many(sites, item, value)
-        finally:
-            ctx.end_span(wave_span)
-        ccp_failures = [r for r in results if not r.ok and r.kind == "ccp"]
-        if ccp_failures:
-            raise ConcurrencyAbort(
-                f"prewrite {item!r} rejected at {ccp_failures[0].site}: "
-                f"{ccp_failures[0].reason}"
-            )
+    def written_copies(self, item: str, results: list) -> list:
+        """Unreachable copies are skipped; at least one copy must accept."""
         accepted = [r for r in results if r.ok]
         if not accepted:
             raise ReplicationAbort(
                 f"no available copy of {item!r} accepted the write"
             )
-        new_version = ctx.assign_version(accepted)
-        for result in accepted:
-            ctx.note_prewrite(result.site, item, new_version)
-        ctx.note_write(item, new_version)
+        return accepted

@@ -53,7 +53,7 @@ class QuorumConsensusController(ReplicationController):
     # -- quorum assembly ----------------------------------------------------------
     def _assemble(self, ctx, item: str, write: bool, value: Any = None):
         """Contact holders in waves until the quorum's votes are gathered."""
-        spec = ctx.item_spec(item)
+        spec = ctx.catalog.item(item)
         needed = spec.effective_write_quorum() if write else spec.effective_read_quorum()
         votes = dict(spec.placement)
         remaining = ctx.order_local_first(spec.sites)

@@ -30,7 +30,7 @@ class RowaController(ReplicationController):
     name = "ROWA"
 
     def do_read(self, ctx, item: str) -> Generator:
-        spec = ctx.item_spec(item)
+        spec = ctx.catalog.item(item)
         candidates = ctx.order_local_first(spec.sites)
         failures = []
         for site in candidates:
@@ -44,7 +44,7 @@ class RowaController(ReplicationController):
         raise ReplicationAbort(f"no copy of {item!r} reachable ({'; '.join(failures)})")
 
     def do_write(self, ctx, item: str, value: Any) -> Generator:
-        spec = ctx.item_spec(item)
+        spec = ctx.catalog.item(item)
         sites = ctx.order_local_first(spec.sites)
         wave_span = ctx.begin_span("rcp.wave", sites=",".join(sites))
         try:
@@ -52,18 +52,26 @@ class RowaController(ReplicationController):
         finally:
             ctx.end_span(wave_span)
         ccp_failures = [r for r in results if not r.ok and r.kind == "ccp"]
-        net_failures = [r for r in results if not r.ok and r.kind == "net"]
         if ccp_failures:
             raise ConcurrencyAbort(
                 f"prewrite {item!r} rejected at {ccp_failures[0].site}: "
                 f"{ccp_failures[0].reason}"
             )
-        if net_failures:
-            raise ReplicationAbort(
-                f"ROWA write needs all {len(sites)} copies of {item!r}; "
-                f"unreachable: {[r.site for r in net_failures]}"
-            )
-        new_version = ctx.assign_version(results)
-        for result in results:
+        written = self.written_copies(item, results)
+        new_version = ctx.assign_version(written)
+        for result in written:
             ctx.note_prewrite(result.site, item, new_version)
         ctx.note_write(item, new_version)
+
+    def written_copies(self, item: str, results: list) -> list:
+        """The copies a write installs, given every copy's pre-write result.
+
+        ROWA needs all of them: any unreachable copy aborts the write.
+        """
+        unreachable = [r.site for r in results if not r.ok]
+        if unreachable:
+            raise ReplicationAbort(
+                f"ROWA write needs all {len(results)} copies of {item!r}; "
+                f"unreachable: {unreachable}"
+            )
+        return results

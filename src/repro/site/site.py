@@ -614,14 +614,14 @@ class Site:
         if state is not None:
             self.wal.log_precommit(txn, self.sim.now)
             state.precommitted = True
-        for observer in self.observers:
-            observer("precommit", self.name, txn, None, None, None)
+            for observer in self.observers:
+                observer("precommit", self.name, txn, None, None, None)
 
     def local_commit(self, txn: int) -> None:
         """Apply the global COMMIT decision at this participant."""
         state = self._prepared.pop(txn, None)
         # A retried decision finds nothing prepared and COMMIT logged: it was
-        # applied already, and is only reported again.
+        # applied already, so it changes and reports nothing.
         if state is not None or self.wal.decision_for(txn) != "COMMIT":
             if state is not None:
                 # Tag the record as a participant's copy of the decision so
@@ -638,8 +638,8 @@ class Site:
             self.stats.commits_applied += 1
             if state is not None and state.resolving:
                 self.stats.orphans_resolved += 1
-        for observer in self.observers:
-            observer("commit", self.name, txn, None, None, None)
+            for observer in self.observers:
+                observer("commit", self.name, txn, None, None, None)
 
     def local_abort(self, txn: int) -> None:
         """Apply the global ABORT decision (idempotent, presumed abort)."""

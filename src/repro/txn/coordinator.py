@@ -124,9 +124,6 @@ class TxnContext:
         # multiset: quorum accesses run concurrently).  The distributed-
         # deadlock detector forwards probes through ``blocked_site``.
         self._blocked_counts: dict[str, int] = {}
-        # Catalog specs resolved during this attempt (restarts get a fresh
-        # context, so the cache is naturally per-attempt).
-        self._spec_cache: dict[str, Any] = {}
         # Piggybacked-prepare state: armed only while the final operation's
         # accesses are in flight; votes folded into access replies wait
         # here until collect_votes consumes them.
@@ -237,24 +234,6 @@ class TxnContext:
     def host_of(self, site: str) -> str:
         """The host a site lives on (addresses are ``host/name``)."""
         return self.address_of(site).split("/", 1)[0]
-
-    # -- catalog access ----------------------------------------------------------
-    def item_spec(self, item: str):
-        """Catalog spec for ``item``, memoized for this transaction attempt.
-
-        Every RCP wave consults the same placement; one lookup per item per
-        attempt suffices.  Restarted transactions build a fresh context, so
-        recovery paths always re-resolve against current metadata.
-        """
-        spec = self._spec_cache.get(item)
-        if spec is None:
-            spec = self.catalog.item(item)
-            self._spec_cache[item] = spec
-        return spec
-
-    def invalidate_spec_cache(self) -> None:
-        """Drop memoized specs (called when an attempt aborts)."""
-        self._spec_cache.clear()
 
     # -- copy access ---------------------------------------------------------------
     def access_read(self, site: str, item: str):
@@ -766,7 +745,6 @@ def run_transaction(ctx: TxnContext):
         _mark_aborted(txn, abort, sim.now)
     except TransactionAborted as abort:
         _mark_aborted(txn, abort, sim.now)
-        ctx.invalidate_spec_cache()
         try:
             yield from ctx.broadcast(MessageType.ABORT, retries=1)
         except Interrupt:

@@ -9,42 +9,12 @@ site initiates a two-phase commit session").
 
 from __future__ import annotations
 
-import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from repro.errors import WorkloadError
 
-__all__ = ["OpKind", "Operation", "TxnStatus", "Transaction", "next_txn_id",
-           "txn_id_scope"]
-
-_txn_ids = itertools.count(1)
-
-
-def next_txn_id() -> int:
-    """Globally unique transaction id."""
-    return next(_txn_ids)
-
-
-@contextmanager
-def txn_id_scope(start: int = 1):
-    """Allocate txn ids from a fresh counter within the ``with`` block.
-
-    The process-global counter keeps ids unique across every instance in
-    one process — but that makes raw ids depend on what ran earlier, so a
-    self-contained session (one instance, nothing else allocating ids,
-    e.g. a chaos case) scopes itself to get ids that are a pure function
-    of its own seed: identical for every worker placement under ``-j N``.
-    The outer counter is restored on exit.
-    """
-    global _txn_ids
-    saved = _txn_ids
-    _txn_ids = itertools.count(start)
-    try:
-        yield
-    finally:
-        _txn_ids = saved
+__all__ = ["OpKind", "Operation", "TxnStatus", "Transaction"]
 
 
 class OpKind:
@@ -111,11 +81,16 @@ class TxnStatus:
 
 @dataclass
 class Transaction:
-    """One transaction instance (a restart is a *new* Transaction)."""
+    """One transaction instance (a restart is a *new* Transaction).
+
+    ``txn_id`` stays None until the transaction enters an instance, which
+    numbers it from the instance's own counter (:meth:`number`), so ids
+    depend only on the session, never on what ran earlier in the process.
+    """
 
     ops: list[Operation]
     home_site: str
-    txn_id: int = field(default_factory=next_txn_id)
+    txn_id: Optional[int] = None
     ts: float = 0.0
     status: str = TxnStatus.PENDING
     abort_cause: Optional[str] = None  # "RCP" | "CCP" | "ACP" | "SYSTEM"
@@ -138,6 +113,14 @@ class Transaction:
             raise WorkloadError("transaction must have at least one operation")
         if self.template_id is None:
             self.template_id = self.txn_id
+
+    def number(self, txn_ids: Iterator[int]) -> "Transaction":
+        """Take the next id from ``txn_ids`` unless the txn already has one."""
+        if self.txn_id is None:
+            self.txn_id = next(txn_ids)
+            if self.template_id is None:
+                self.template_id = self.txn_id
+        return self
 
     @property
     def committed(self) -> bool:
@@ -172,11 +155,12 @@ class Transaction:
                 seen.append(op.item)
         return seen
 
-    def restarted(self) -> "Transaction":
-        """A fresh transaction re-running the same operations."""
+    def restarted(self, txn_id: int) -> "Transaction":
+        """A fresh transaction ``txn_id`` re-running the same operations."""
         return Transaction(
             ops=list(self.ops),
             home_site=self.home_site,
+            txn_id=txn_id,
             attempt=self.attempt + 1,
             template_id=self.template_id,
         )

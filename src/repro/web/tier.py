@@ -34,9 +34,6 @@ DEFAULT_USERS = {
     "student": ("student", "student"),
 }
 
-_token_counter = itertools.count(1)
-_workload_counter = itertools.count(1)
-
 
 class AuthServlet(Servlet):
     """The Rainbow access authorization of RainbowDemo.html."""
@@ -61,7 +58,7 @@ class AuthServlet(Servlet):
             entry = self.tier.users.get(user)
             if entry is None or entry[0] != password:
                 return WebResponse.failure("access denied")
-            token = f"tok{next(_token_counter)}-{user}"
+            token = f"tok{next(self.tier.token_ids)}-{user}"
             self.tier.sessions[token] = entry[1]
             return WebResponse.success({"token": token, "role": entry[1]})
         if request.action == "logout":
@@ -220,7 +217,7 @@ class WLGlet(Servlet):
             address = instance.directory.get(txn.home_site)
             if address is None:
                 return WebResponse.failure(f"unknown home site {txn.home_site!r}")
-            instance.monitor.txn_submitted(txn)
+            instance.monitor.txn_submitted(txn.number(instance.txn_ids))
             try:
                 reply = yield self.runner.endpoint.request(
                     address,
@@ -244,7 +241,7 @@ class WLGlet(Servlet):
                         for entry in spec["mix"]
                     ]
                 spec = WorkloadSpec(**spec)
-            workload_id = next(_workload_counter)
+            workload_id = next(self.tier.workload_ids)
             generator = WorkloadGenerator(
                 instance.sim,
                 instance.network,
@@ -254,6 +251,7 @@ class WLGlet(Servlet):
                 instance.streams.get(f"web-workload-{workload_id}"),
                 monitor=instance.monitor,
                 name=f"wlg-web{workload_id}",
+                txn_ids=instance.txn_ids,
             )
             process = generator.run()
             self.workloads[workload_id] = (generator, process)
@@ -316,6 +314,11 @@ class RainbowWebTier:
         self.ns_host = instance.nameserver.host
         self.users = dict(users or DEFAULT_USERS)
         self.sessions: dict[str, str] = {}  # token -> role
+        # This tier's id spaces: session tokens, web-started workloads
+        # (whose id also names their random stream) and applet endpoints.
+        self.token_ids = itertools.count(1)
+        self.workload_ids = itertools.count(1)
+        self.applet_ids = itertools.count(1)
         self.site_hosts = {name: site.host for name, site in instance.sites.items()}
 
         hosts = {home_host, self.ns_host, *self.site_hosts.values()}

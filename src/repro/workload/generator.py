@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.errors import NetworkError, RpcTimeout, WorkloadError
 from repro.nameserver.catalog import Catalog
@@ -46,12 +46,13 @@ class SubmissionOutcome:
 class _Submitter:
     """Shared submit-and-maybe-restart machinery for both WLG modes."""
 
-    def __init__(self, sim, endpoint, directory, monitor, spec):
+    def __init__(self, sim, endpoint, directory, monitor, spec, txn_ids):
         self.sim = sim
         self.endpoint = endpoint
         self.directory = directory
         self.monitor = monitor
         self.spec = spec
+        self.txn_ids = txn_ids
         self.outcomes: list[SubmissionOutcome] = []
 
     def submit_tracked(self, txn: Transaction):
@@ -77,7 +78,7 @@ class _Submitter:
                 self.outcomes.append(outcome)
                 return outcome
             yield self.sim.timeout(self.spec.restart_delay)
-            current = current.restarted()
+            current = current.restarted(next(self.txn_ids))
 
     def _submit_once(self, txn: Transaction):
         if txn.home_site not in self.directory:
@@ -105,7 +106,11 @@ class _Submitter:
 
 
 class WorkloadGenerator:
-    """Simulated workload generation over a catalog and a site directory."""
+    """Simulated workload generation over a catalog and a site directory.
+
+    Transactions and their restarts are numbered from ``txn_ids``, the
+    counter of the instance the workload runs on.
+    """
 
     def __init__(
         self,
@@ -118,6 +123,8 @@ class WorkloadGenerator:
         monitor=None,
         host: str = "wlg-host",
         name: str = "wlg",
+        *,
+        txn_ids: Iterator[int],
     ):
         spec.validate()
         if not directory:
@@ -131,7 +138,8 @@ class WorkloadGenerator:
             raise WorkloadError("catalog has no items to generate accesses for")
         self.sites = sorted(directory)
         self.endpoint = network.endpoint(host, name)
-        self._submitter = _Submitter(sim, self.endpoint, directory, monitor, spec)
+        self._txn_ids = txn_ids
+        self._submitter = _Submitter(sim, self.endpoint, directory, monitor, spec, txn_ids)
         self._home_cursor = 0
         self._access_weights = self._build_access_weights()
         self._value_counter = 0
@@ -221,7 +229,7 @@ class WorkloadGenerator:
                 ops.append(Operation.write(item, self._value_counter))
         if not ops:
             ops.append(Operation.read(self._pick_item()))
-        return Transaction(ops=ops, home_site=self._pick_home())
+        return Transaction(ops=ops, home_site=self._pick_home(), txn_id=next(self._txn_ids))
 
     # -- execution -----------------------------------------------------------
     def run(self):
@@ -286,11 +294,13 @@ class ManualWorkload:
         spec: Optional[WorkloadSpec] = None,
         host: str = "wlg-host",
         name: str = "wlg-manual",
+        *,
+        txn_ids: Iterator[int],
     ):
         self.sim = sim
         self.endpoint = network.endpoint(host, name)
         self._submitter = _Submitter(
-            sim, self.endpoint, directory, monitor, spec or WorkloadSpec()
+            sim, self.endpoint, directory, monitor, spec or WorkloadSpec(), txn_ids
         )
         self._queue: list[tuple[float, Transaction]] = []
 
@@ -300,8 +310,11 @@ class ManualWorkload:
         return self._submitter.outcomes
 
     def add(self, txn: Transaction, at: float = 0.0) -> "ManualWorkload":
-        """Queue ``txn`` for submission at simulated time ``at`` (chainable)."""
-        self._queue.append((at, txn))
+        """Queue ``txn`` for submission at simulated time ``at`` (chainable).
+
+        A ``txn`` without an id is numbered here, in the order it is added.
+        """
+        self._queue.append((at, txn.number(self._submitter.txn_ids)))
         return self
 
     def run(self):

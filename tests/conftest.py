@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import io
+from contextlib import redirect_stdout
+
 import pytest
 
+from repro.cli import main
 from repro.core.config import RainbowConfig
 from repro.core.instance import RainbowInstance
 from repro.net.latency import ConstantLatency
@@ -26,6 +30,14 @@ def drive(sim: Simulator, generator, name: str = "test"):
     """Run ``generator`` as a process to completion; return its value."""
     process = sim.process(generator, name=name)
     return sim.run(until=process)
+
+
+def run_cli(*args: str) -> str:
+    """Run the ``repro`` CLI in this process; return its stdout."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(list(args)) == 0
+    return out.getvalue()
 
 
 def inbox(endpoint: Endpoint) -> list[Message]:

@@ -1,29 +1,20 @@
 """Golden outputs: seeded tables, chaos reports and traces that must not change by accident.
 
 Each golden file is the exact output of a CLI command, or of
-``tests/event_stream.py``, run in a fresh interpreter (transaction ids, and
-so timestamp tie-breaks, are process-global).  Regenerate a fixture only for an intended behaviour
-change, and say so in the change log::
+``tests/event_stream.py``.  Both run in this process: every id a session
+uses comes from its own instance, so the output does not depend on what ran
+before it.  Regenerate a fixture only for an intended behaviour change, and
+say so in the change log::
 
     PYTHONPATH=src python -m repro experiment abl --json > tests/fixtures/golden/exp_abl.json
 """
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
+from tests.conftest import run_cli
+from tests.event_stream import event_stream
+
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def run_cli(*args: str) -> str:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run(
-        [sys.executable, "-m", "repro", *args],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    return done.stdout
 
 
 def test_exp_abl_matches_golden():
@@ -83,24 +74,15 @@ def test_exp_avail_matches_golden():
     assert produced == (GOLDEN / "exp_avail.json").read_text()
 
 
-def run_event_stream(case: str) -> str:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run(
-        [sys.executable, str(Path(__file__).parent / "event_stream.py"), case],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    return done.stdout
-
-
 def test_event_stream_crashes_matches_golden():
     # Every local read, pre-write, prepare, pre-commit, commit and abort the
     # sites report, and every span, on QC/2PL/2PC with two site crashes.
-    produced = run_event_stream("qc-2pl-crashes")
+    produced = event_stream("qc-2pl-crashes")
     assert produced == (GOLDEN / "events_qc_2pl_crashes.txt").read_text()
 
 
 def test_event_stream_flags_on_matches_golden():
     # The same stream on QC/MVTO/2PC with co-located sites and every
     # message-economy flag: batched accesses and piggybacked prepares.
-    produced = run_event_stream("qc-mvto-flags")
+    produced = event_stream("qc-mvto-flags")
     assert produced == (GOLDEN / "events_qc_mvto_flags.txt").read_text()

@@ -296,33 +296,6 @@ class TestDecisionIdempotence:
         self._assert_no_double_apply(instance, result, 30)
 
 
-class TestSpecMemoization:
-    def test_item_spec_cached_per_attempt(self):
-        instance = quick_instance(n_sites=2, n_items=2)
-        txn = Transaction(ops=[Operation.read("x1")], home_site="site1")
-        ctx = TxnContext(
-            txn,
-            instance.sites["site1"],
-            instance.catalog,
-            instance.directory,
-            instance.coordinator_config,
-        )
-        calls = []
-        real = instance.catalog.item
-
-        def counting(name):
-            calls.append(name)
-            return real(name)
-
-        instance.catalog.item = counting
-        first = ctx.item_spec("x1")
-        assert ctx.item_spec("x1") is first
-        assert calls == ["x1"]
-        ctx.invalidate_spec_cache()
-        ctx.item_spec("x1")
-        assert calls == ["x1", "x1"]
-
-
 class TestReplySizes:
     def _ask(self, instance, mtype):
         site = instance.sites["site1"]

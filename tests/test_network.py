@@ -19,9 +19,13 @@ from tests.conftest import drive, inbox
 
 class TestMessage:
     def test_ids_unique_and_increasing(self):
-        a = Message(src="x", dst="y", mtype="T")
-        b = Message(src="x", dst="y", mtype="T")
-        assert b.msg_id > a.msg_id
+        # Each network numbers the messages it sends, starting at 1.
+        for _network in range(2):
+            network = Network(Simulator())
+            sender = network.endpoint("h", "x")
+            a = sender.send("h/y", "T")
+            b = sender.send("h/y", "T")
+            assert (a.msg_id, b.msg_id) == (1, 2)
 
     def test_reply_swaps_endpoints_and_links(self):
         request = Message(src="a/1", dst="b/2", mtype=MessageType.READ, txn_id=9)

@@ -172,17 +172,6 @@ class TestDeterminismAndPerturbation:
                 getattr(traced_result.statistics, field)
         assert plain_result.statistics.phase_breakdown == {}
 
-    def test_normalize_renumbers_by_first_appearance(self, session):
-        instance, _result = session
-        normalized = obs.normalize_spans(instance.span_tracer.spans)
-        seen: list[int] = []
-        for span in normalized:
-            if span.txn_id not in seen:
-                seen.append(span.txn_id)
-        assert seen == list(range(1, len(seen) + 1))
-        for span in normalized:
-            assert span.span_id.startswith(f"t{span.txn_id}:")
-
 
 class TestExporters:
     def test_chrome_json_shape(self, session):

@@ -49,12 +49,8 @@ def _session_fingerprint(seed):
             read_fraction=0.7,
         )
     )
-    # Transaction ids come from a process-global counter, so report them
-    # relative to the session's first id: the *history* must be identical
-    # across repeated same-seed sessions, wherever their ids started.
-    base = min((r.txn_id for r in instance.monitor.records), default=0)
     return [
-        (r.txn_id - base, r.home_site, r.status, r.abort_cause, r.response_time, r.messages)
+        (r.txn_id, r.home_site, r.status, r.abort_cause, r.response_time, r.messages)
         for r in instance.monitor.records
     ]
 

@@ -1,5 +1,6 @@
 """Unit tests for workload specs and the generator."""
 
+import itertools
 import random
 
 import pytest
@@ -88,13 +89,24 @@ class TestTransactionModel:
         assert txn.write_set == ["b"]
 
     def test_txn_ids_unique(self):
-        t1 = Transaction(ops=[Operation.read("a")], home_site="s1")
-        t2 = Transaction(ops=[Operation.read("a")], home_site="s1")
+        txn_ids = itertools.count(1)
+        t1 = Transaction(ops=[Operation.read("a")], home_site="s1").number(txn_ids)
+        t2 = Transaction(ops=[Operation.read("a")], home_site="s1").number(txn_ids)
         assert t1.txn_id != t2.txn_id
 
+    def test_numbered_once_and_explicit_ids_kept(self):
+        txn_ids = itertools.count(1)
+        txn = Transaction(ops=[Operation.read("a")], home_site="s1")
+        assert txn.txn_id is None and txn.template_id is None
+        txn.number(txn_ids).number(txn_ids)
+        assert txn.txn_id == txn.template_id == 1
+        explicit = Transaction(ops=[Operation.read("a")], home_site="s1", txn_id=7)
+        assert explicit.number(txn_ids).txn_id == 7
+        assert next(txn_ids) == 2
+
     def test_restart_keeps_template_id(self):
-        t1 = Transaction(ops=[Operation.read("a")], home_site="s1")
-        t2 = t1.restarted()
+        t1 = Transaction(ops=[Operation.read("a")], home_site="s1", txn_id=1)
+        t2 = t1.restarted(2)
         assert t2.template_id == t1.template_id == t1.txn_id
         assert t2.attempt == 2
         assert t2.txn_id != t1.txn_id
@@ -117,6 +129,7 @@ class TestSynthesis:
             random.Random(0),
             monitor=instance.monitor,
             name="wlg-test",
+            txn_ids=instance.txn_ids,
         )
 
     def test_sizes_and_mix(self):
@@ -202,7 +215,7 @@ class TestSynthesis:
         with pytest.raises(WorkloadError):
             WorkloadGenerator(
                 instance.sim, instance.network, {}, instance.catalog,
-                WorkloadSpec(), random.Random(0), name="bad1",
+                WorkloadSpec(), random.Random(0), name="bad1", txn_ids=instance.txn_ids,
             )
 
     def test_empty_catalog_rejected(self):
@@ -210,7 +223,7 @@ class TestSynthesis:
         with pytest.raises(WorkloadError):
             WorkloadGenerator(
                 instance.sim, instance.network, instance.directory, Catalog(),
-                WorkloadSpec(), random.Random(0), name="bad2",
+                WorkloadSpec(), random.Random(0), name="bad2", txn_ids=instance.txn_ids,
             )
 
 
