@@ -14,7 +14,7 @@ The rule therefore scopes itself to *trace code* and applies a stricter
 catalog there.  Trace code is:
 
 * any function whose name mentions ``span`` or ``trace``
-  (``_trace_flight``, ``begin_span``, ``render_span_tree``, ...);
+  (``trace_context``, ``begin_span``, ``render_span_tree``, ...);
 * the argument expressions of tracer-API calls — ``*.begin_span(...)`` /
   ``*.end_span(...)`` anywhere, and ``begin``/``finish``/``record``
   called on a receiver whose dotted path mentions ``tracer``.

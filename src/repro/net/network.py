@@ -445,8 +445,20 @@ class Network:
             stats.queueing_delay_total += queue_wait
             delay += queue_wait
         sim.defer(delay, dst._deliver, msg)
-        if self.tracer is not None and msg.txn_id is not None:
-            self._trace_flight(msg, delay)
+        tracer = self.tracer
+        if tracer is not None and msg.txn_id is not None:
+            sent_at = msg.sent_at
+            tracer.record(
+                msg.txn_id,
+                msg.src.rsplit("/", 1)[-1] if src is None else src.name,
+                "net.msg",
+                start=sent_at,
+                end=sent_at + delay,
+                parent=msg.span,
+                mtype=msg.mtype,
+                src=msg.src,
+                dst=msg.dst,
+            )
         if duplication_rate > 0 and self.rng.random() < duplication_rate:
             # The duplicate draws its own latency (it may overtake the
             # original) and bypasses receiver queueing — it is a transport
@@ -477,20 +489,6 @@ class Network:
                 outcome=reason,
             )
         self._notify(msg, reason)
-
-    def _trace_flight(self, msg: Message, delay: float) -> None:
-        """Record one delivered message as a complete ``net.msg`` span."""
-        self.tracer.record(
-            msg.txn_id,
-            msg.src.rsplit("/", 1)[-1],
-            "net.msg",
-            start=msg.sent_at,
-            end=msg.sent_at + delay,
-            parent=msg.span,
-            mtype=msg.mtype,
-            src=msg.src,
-            dst=msg.dst,
-        )
 
     def _notify(self, msg: Message, outcome: str) -> None:
         for observer in self._observers:

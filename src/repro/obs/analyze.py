@@ -70,15 +70,23 @@ def aggregate_phase_stats(
     nothing qualifies, so flag-off output is unchanged.
     """
     wanted = None if txn_ids is None else set(txn_ids)
+    phase_by_name = _PHASE_BY_NAME.get
     totals: dict[int, dict[str, float]] = {}
+    per_txn_of = totals.get
     for span in spans:
-        phase = phase_of(span.name)
+        phase = phase_by_name(span.name)
         if phase is None:
             continue
-        if wanted is not None and span.txn_id not in wanted:
+        txn_id = span.txn_id
+        if wanted is not None and txn_id not in wanted:
             continue
-        per_txn = totals.setdefault(span.txn_id, dict.fromkeys(PHASES, 0.0))
-        per_txn[phase] += span.duration
+        per_txn = per_txn_of(txn_id)
+        if per_txn is None:
+            # An open span still enters its txn, with zero duration.
+            per_txn = totals[txn_id] = dict.fromkeys(PHASES, 0.0)
+        end = span.end
+        if end is not None:
+            per_txn[phase] += end - span.start
     if not totals:
         return {}
     ordered = [totals[txn_id] for txn_id in sorted(totals)]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Generator, Optional
 
 from repro.errors import ConcurrencyAbort
@@ -41,6 +42,9 @@ class _Version:
     rts: float
 
 
+_wts = attrgetter("wts")
+
+
 @dataclass
 class _MvItem:
     versions: list[_Version] = field(default_factory=list)  # sorted by wts
@@ -49,13 +53,12 @@ class _MvItem:
 
     def select(self, ts: float) -> Optional[_Version]:
         """Committed version with the largest wts <= ts."""
-        keys = [v.wts for v in self.versions]
-        index = bisect.bisect_right(keys, ts) - 1
+        index = bisect.bisect_right(self.versions, ts, key=_wts) - 1
         return self.versions[index] if index >= 0 else None
 
     def insert(self, version: _Version) -> None:
-        keys = [v.wts for v in self.versions]
-        self.versions.insert(bisect.bisect_right(keys, version.wts), version)
+        """Add ``version`` after every version with the same or lower wts."""
+        bisect.insort_right(self.versions, version, key=_wts)
 
     def wake(self) -> None:
         waiters, self.waiters = self.waiters, []

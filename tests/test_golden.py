@@ -9,6 +9,7 @@ say so in the change log::
     PYTHONPATH=src python -m repro experiment abl --json > tests/fixtures/golden/exp_abl.json
 """
 
+import hashlib
 from pathlib import Path
 
 from tests.conftest import run_cli
@@ -65,6 +66,19 @@ def test_trace_txn_matches_golden():
     # with its simulated start and end.
     produced = run_cli("trace", "--seed", "7", "--txn", "22")
     assert produced == (GOLDEN / "trace_seed7_txn22.txt").read_text()
+
+
+def test_trace_export_files_match_digests(tmp_path):
+    # Every span of one traced session as Perfetto JSON and as CSV: ids,
+    # parents, timestamps, attrs and their order.
+    out, csv = tmp_path / "trace.json", tmp_path / "trace.csv"
+    run_cli("trace", "--seed", "7", "--out", str(out), "--csv", str(csv))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "e74fa30dc131564e88dc9b00a3ee5c024be8b3900385fa19106bbabcc3dbf929"
+    )
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+        "7cbdf46cf6db77e5e0f64217f58caea635219e76b50bec5ed08858d924e4003e"
+    )
 
 
 def test_exp_avail_matches_golden():

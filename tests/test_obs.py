@@ -63,12 +63,100 @@ class TestSpanModel:
                 continue
             assert span.start >= parent.start - 1e-9
 
+    def test_span_has_no_instance_dict(self, session):
+        instance, _result = session
+        assert not hasattr(instance.span_tracer.spans[0], "__dict__")
+
     def test_message_reply_propagates_span(self):
         msg = Message(
             mtype=MessageType.READ, src="a/s1", dst="b/s2",
             payload={}, span="t1:site1:3",
         )
         assert msg.reply(MessageType.READ_REPLY, {}).span == "t1:site1:3"
+
+
+class TestSpanViews:
+    def test_views_equal_a_linear_scan_as_spans_are_appended(self, session):
+        instance, _result = session
+        recorded = instance.span_tracer.spans
+        txn_ids = sorted({span.txn_id for span in recorded}) + [10**6]
+        parents = {span.parent_id for span in recorded}
+        span_ids = sorted(parents - {None}) + [
+            span.span_id for span in recorded[::5]
+        ] + ["t0:nowhere:1"]
+        tracer = obs.SpanTracer(instance.sim)
+        for end in (len(recorded) // 3, len(recorded) // 3 + 1, len(recorded)):
+            tracer.spans.extend(recorded[len(tracer.spans):end])
+            spans = tracer.spans
+            assert tracer.txn_ids() == sorted({span.txn_id for span in spans})
+            for txn_id in txn_ids:
+                root = next(
+                    (s for s in spans if s.txn_id == txn_id and s.name == "txn"), None
+                )
+                assert tracer.root(txn_id) is root
+                assert tracer.txn_spans(txn_id) == [
+                    s for s in spans if s.txn_id == txn_id
+                ]
+            for span_id in [None, *span_ids]:
+                assert tracer.children(span_id) == [
+                    s for s in spans if s.parent_id == span_id
+                ]
+            for span_id in span_ids:
+                found = next((s for s in spans if s.span_id == span_id), None)
+                assert tracer.get(span_id) is found
+
+    def test_first_txn_span_is_the_root(self, session):
+        instance, _result = session
+        tracer = obs.SpanTracer(instance.sim)
+        first = tracer.record(5, "site1", "txn", start=0.0, end=1.0)
+        tracer.record(5, "site1", "txn", start=2.0, end=3.0)
+        assert tracer.root(5) is first
+
+
+def _phase_stats_reference(spans, txn_ids=None):
+    """Per-txn phase sums as two dict passes over ``span.duration``."""
+    wanted = None if txn_ids is None else set(txn_ids)
+    totals = {}
+    for span in spans:
+        phase = obs.phase_of(span.name)
+        if phase is None:
+            continue
+        if wanted is not None and span.txn_id not in wanted:
+            continue
+        per_txn = totals.setdefault(span.txn_id, dict.fromkeys(obs.PHASES, 0.0))
+        per_txn[phase] += span.duration
+    if not totals:
+        return {}
+    ordered = [totals[txn_id] for txn_id in sorted(totals)]
+    result = {}
+    for phase in obs.PHASES:
+        values = [per_txn[phase] for per_txn in ordered]
+        result[phase] = {
+            "mean_per_txn": sum(values) / len(values),
+            "max_per_txn": max(values),
+        }
+    return result
+
+
+class TestPhaseStatsReference:
+    def test_matches_reference_on_a_traced_session(self, session):
+        instance, _result = session
+        spans = instance.span_tracer.spans
+        finished = [record.txn_id for record in instance.monitor.records]
+        for txn_ids in (None, finished, finished[::2], []):
+            assert obs.aggregate_phase_stats(spans, txn_ids) == \
+                _phase_stats_reference(spans, txn_ids)
+
+    def test_txn_with_only_open_phased_spans_counts_as_zero(self, session):
+        instance, _result = session
+        tracer = obs.SpanTracer(instance.sim)
+        tracer.record(1, "site1", "net.msg", start=1.0, end=3.5)
+        tracer.record(1, "site1", "txn", start=0.0, end=9.0)
+        tracer.begin(2, "site2", "ccp.read", start=2.0)
+        stats = obs.aggregate_phase_stats(tracer.spans)
+        assert stats == _phase_stats_reference(tracer.spans)
+        assert stats["network"] == {"mean_per_txn": 1.25, "max_per_txn": 2.5}
+        assert stats["lock_wait"] == {"mean_per_txn": 0.0, "max_per_txn": 0.0}
 
 
 class TestSpanNesting:

@@ -7,12 +7,38 @@ from hypothesis import strategies as st
 
 from repro.core.config import RainbowConfig
 from repro.nameserver.catalog import Catalog
+from repro.protocols.ccp.multiversion import _MvItem, _Version
 from repro.sim.kernel import Simulator
 from repro.sim.randoms import zipf_weights
 from repro.site.locks import LockManager, LockMode
 from repro.site.storage import LocalStore
 from repro.site.wal import WriteAheadLog
 from repro.txn.history import HistoryRecorder, SerializationGraph
+
+# ---------------------------------------------------------------------------
+# MVTO version chains
+
+
+@given(
+    inserts=st.lists(st.integers(0, 12), max_size=40),
+    probes=st.lists(st.floats(-1, 13, allow_nan=False), max_size=20),
+)
+def test_mvto_select_and_insert_match_sorted_reference(inserts, probes):
+    # Small integer wts repeat often: equal-wts versions must keep their
+    # insertion order, and select must return the last of them.
+    item = _MvItem()
+    inserted = []
+    for wts in inserts:
+        version = _Version(float(wts), f"v{len(inserted)}", 0.0)
+        item.insert(version)
+        inserted.append(version)
+        assert [id(v) for v in item.versions] == [
+            id(v) for v in sorted(inserted, key=lambda v: v.wts)
+        ]
+    for ts in [*probes, *(float(wts) for wts in inserts)]:
+        visible = [v for v in item.versions if v.wts <= ts]
+        assert item.select(ts) is (visible[-1] if visible else None)
+
 
 # ---------------------------------------------------------------------------
 # Distributions
